@@ -6,25 +6,19 @@
 // tiling), with the overhead growing with batch size — 1.08× geomean at
 // batch 4 and 1.70× at batch 32 on the authors' GPU.
 //
-// On top of the paper's columns, the bench times the wavefront inter-op
-// parallel executor (arena mode, 4 lanes) against the sequential arena run
-// and writes the series to BENCH_parallel.json.  On a single hardware thread
-// the "speedup" column is a dispatch-overhead measurement; on multi-core
-// hosts it shows how much inter-op width the schedules actually expose
-// (reported per model as wave count / max width).
+// On top of the paper's columns, the bench times the optimized graph on the
+// zero-malloc arena executor, isolating allocator churn.  It times one run
+// (batch 32) or three (batch 4) after one warm-up, so single readings swing
+// widely; the repository benchmark (benchmark/) is the measured number.
 #include "bench/common.hpp"
-#include "runtime/wavefront.hpp"
 #include "support/timer.hpp"
 
 using namespace temco;
 
 namespace {
 
-constexpr std::size_t kLanes = 4;
-
-double time_graph(const ir::Graph& graph, int repeats, bool use_arena = false,
-                  std::size_t parallelism = 1) {
-  runtime::Executor executor(graph, {.use_arena = use_arena, .parallelism = parallelism});
+double time_graph(const ir::Graph& graph, int repeats, bool use_arena = false) {
+  runtime::Executor executor(graph, {.use_arena = use_arena});
   const Tensor input = temco::bench::random_input(graph, 99);
   executor.run({input});  // warm-up
   Timer timer;
@@ -32,53 +26,19 @@ double time_graph(const ir::Graph& graph, int repeats, bool use_arena = false,
   return timer.elapsed_seconds() / repeats;
 }
 
-struct ParallelRow {
-  std::string model;
-  std::int64_t batch = 0;
-  double seconds_sequential = 0.0;
-  double seconds_parallel = 0.0;
-  std::size_t waves = 0;
-  std::size_t max_width = 0;
-};
-
-void write_parallel_json(const std::vector<ParallelRow>& rows) {
-  std::FILE* f = std::fopen("BENCH_parallel.json", "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write BENCH_parallel.json\n");
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"fig11_parallel\",\n  \"lanes\": %zu,\n  \"rows\": [\n",
-               kLanes);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const ParallelRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"model\": \"%s\", \"batch\": %lld, \"seconds_sequential\": %.6f, "
-                 "\"seconds_parallel\": %.6f, \"speedup\": %.4f, \"waves\": %zu, "
-                 "\"max_width\": %zu}%s\n",
-                 r.model.c_str(), static_cast<long long>(r.batch), r.seconds_sequential,
-                 r.seconds_parallel, r.seconds_sequential / r.seconds_parallel, r.waves,
-                 r.max_width, i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote BENCH_parallel.json (%zu rows)\n", rows.size());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   auto bench = temco::bench::parse_args(argc, argv);
   std::printf("=== Figure 11: end-to-end inference time (CPU substrate) ===\n");
-  std::printf("(width %.3g, image %lld, Tucker ratio %.2g, %zu inter-op lanes)\n\n", bench.width,
-              static_cast<long long>(bench.image), bench.ratio, kLanes);
-  std::printf("%-14s %6s %14s %14s %14s %14s %10s %10s %9s\n", "model", "batch", "decomposed",
-              "temco", "temco+arena", "arena+par", "overhead", "arena", "par");
+  std::printf("(width %.3g, image %lld, Tucker ratio %.2g)\n\n", bench.width,
+              static_cast<long long>(bench.image), bench.ratio);
+  std::printf("%-14s %6s %14s %14s %14s %10s %10s\n", "model", "batch", "decomposed", "temco",
+              "temco+arena", "overhead", "arena");
 
-  std::vector<ParallelRow> parallel_rows;
   for (const std::int64_t batch : {std::int64_t{4}, std::int64_t{32}}) {
     std::vector<double> overheads;
     std::vector<double> arena_gains;
-    std::vector<double> parallel_gains;
     for (const auto& name : bench.models) {
       auto batch_bench = bench;
       batch_bench.batch = batch;
@@ -93,29 +53,17 @@ int main(int argc, char** argv) {
       // Same optimized graph, zero-malloc arena execution (§2.2's static
       // planning regime): the delta isolates allocator churn.
       const double t_arena = time_graph(optimized, repeats, /*use_arena=*/true);
-      // ... and the same arena run with inter-op wavefront parallelism.
-      const double t_par = time_graph(optimized, repeats, /*use_arena=*/true, kLanes);
       const double overhead = t_opt / t_dec;
       const double arena_gain = t_opt / t_arena;
-      const double parallel_gain = t_arena / t_par;
       overheads.push_back(overhead);
       arena_gains.push_back(arena_gain);
-      parallel_gains.push_back(parallel_gain);
-
-      const auto waves = runtime::partition_wavefronts(optimized);
-      parallel_rows.push_back(ParallelRow{name, batch, t_arena, t_par, waves.waves.size(),
-                                          waves.max_width});
-      std::printf("%-14s %6lld %12.1fms %12.1fms %12.1fms %12.1fms %9.2fx %9.2fx %8.2fx\n",
-                  name.c_str(), static_cast<long long>(batch), 1e3 * t_dec, 1e3 * t_opt,
-                  1e3 * t_arena, 1e3 * t_par, overhead, arena_gain, parallel_gain);
+      std::printf("%-14s %6lld %12.1fms %12.1fms %12.1fms %9.2fx %9.2fx\n", name.c_str(),
+                  static_cast<long long>(batch), 1e3 * t_dec, 1e3 * t_opt, 1e3 * t_arena,
+                  overhead, arena_gain);
     }
-    std::printf(
-        "geomean overhead at batch %lld: %.2fx (paper: %s); arena speedup %.2fx; "
-        "parallel speedup %.2fx\n\n",
-        static_cast<long long>(batch), temco::bench::geomean(overheads),
-        batch == 4 ? "1.08x" : "1.70x", temco::bench::geomean(arena_gains),
-        temco::bench::geomean(parallel_gains));
+    std::printf("geomean overhead at batch %lld: %.2fx (paper: %s); arena speedup %.2fx\n\n",
+                static_cast<long long>(batch), temco::bench::geomean(overheads),
+                batch == 4 ? "1.08x" : "1.70x", temco::bench::geomean(arena_gains));
   }
-  write_parallel_json(parallel_rows);
   return 0;
 }

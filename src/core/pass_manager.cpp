@@ -60,13 +60,9 @@ ir::Graph PassManager::run(const ir::Graph& input) const {
   // across passes.
   std::vector<Tensor> inputs;
   std::vector<Tensor> baseline;
-  runtime::ExecutorOptions exec_options;
-  exec_options.parallelism = options_.oracle_parallelism;
   if (options_.numeric_oracle) {
     inputs = oracle_inputs(input, options_.oracle_seed);
-    // The parallel wavefront executor is bit-identical to the sequential one,
-    // so the baseline is the same ground truth at any lane count.
-    baseline = runtime::execute(input, inputs, exec_options).outputs;
+    baseline = runtime::execute(input, inputs).outputs;
   }
 
   ir::Graph current = input;
@@ -90,7 +86,7 @@ ir::Graph PassManager::run(const ir::Graph& input) const {
     }
 
     if (options_.numeric_oracle) {
-      const auto result = runtime::execute(next, inputs, exec_options);
+      const auto result = runtime::execute(next, inputs);
       TEMCO_CHECK_AS(result.outputs.size() == baseline.size(), InvalidGraphError)
           << "after pass '" << pass.name << "': output count changed from " << baseline.size()
           << " to " << result.outputs.size();

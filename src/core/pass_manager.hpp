@@ -31,12 +31,6 @@ struct PassManagerOptions {
   bool numeric_oracle = false;
   double oracle_tolerance = 1e-3;
   std::uint64_t oracle_seed = 20240811;
-
-  /// Inter-op lanes for the oracle executions (ExecutorOptions::parallelism).
-  /// 1 keeps the sequential reference; N > 1 runs the oracle through the
-  /// wavefront executor, which both speeds up wide graphs and exercises the
-  /// parallel path against the sequential baseline on every pass boundary.
-  std::size_t oracle_parallelism = 1;
 };
 
 class PassManager {

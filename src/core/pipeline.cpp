@@ -21,7 +21,6 @@ ir::Graph optimize(const ir::Graph& graph, const TemcoOptions& options, Optimize
   pm_options.numeric_oracle = options.numeric_oracle;
   pm_options.oracle_tolerance = options.oracle_tolerance;
   pm_options.oracle_seed = options.oracle_seed;
-  pm_options.oracle_parallelism = options.oracle_parallelism;
   PassManager manager(pm_options);
 
   if (options.enable_skip_opt) {

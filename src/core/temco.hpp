@@ -67,11 +67,6 @@ struct TemcoOptions {
   bool numeric_oracle = false;
   double oracle_tolerance = 1e-3;
   std::uint64_t oracle_seed = 20240811;
-
-  /// Inter-op lanes for the oracle's executions
-  /// (runtime::ExecutorOptions::parallelism): 1 = sequential reference,
-  /// N > 1 = wavefront executor, 0 = hardware concurrency.
-  std::size_t oracle_parallelism = 1;
 };
 
 struct OptimizeStats {

@@ -214,11 +214,15 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
   const std::size_t tasks = static_cast<std::size_t>(n_batch * h_out);
   if (scratch != nullptr) {
     // Arena mode: rows are striped statically over preplanned scratch slots;
-    // nothing is allocated.
+    // nothing is allocated.  The stripes never outnumber the resolved pool's
+    // lanes, so an executor's intra_op_threads bounds this kernel like every
+    // other.
     TEMCO_CHECK(scratch_slots >= 1 && scratch_slot_floats >= restored_floats + pooled_floats)
         << "fused kernel scratch region too small: " << scratch_slot_floats << " floats/slot, need "
         << restored_floats + pooled_floats;
-    const std::size_t slots = std::min(scratch_slots, std::max<std::size_t>(tasks, 1));
+    ThreadPool& pool = resolve_pool();
+    const std::size_t slots =
+        std::min({scratch_slots, std::max<std::size_t>(tasks, 1), pool.concurrency()});
     auto run_slot = [&](std::size_t slot, std::size_t begin, std::size_t end) {
       float* base = scratch + static_cast<std::int64_t>(slot) * scratch_slot_floats;
       process_rows(begin, end, base, base + restored_floats);
@@ -227,7 +231,7 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
       run_slot(0, 0, tasks);
     } else {
       const std::size_t chunk = (tasks + slots - 1) / slots;
-      ThreadPool::global().run(slots, [&](std::size_t slot) {
+      pool.run(slots, [&](std::size_t slot) {
         const std::size_t begin = slot * chunk;
         const std::size_t end = std::min(tasks, begin + chunk);
         if (begin < end) run_slot(slot, begin, end);

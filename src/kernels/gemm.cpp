@@ -284,7 +284,7 @@ namespace detail {
 float* lane_pack_buffer() {
   // One kMC×kKC strip per ThreadPool lane; a lane is pinned to one OS thread
   // for the duration of a fork-join batch, so thread_local storage *is*
-  // per-lane storage — and it survives across pools (global, inter-op,
+  // per-lane storage — and it survives across pools (global, intra-op,
   // per-session) without any registry.  Allocated once per thread, which
   // preserves the arena executor's zero-steady-state-allocation property.
   struct Aligned {

@@ -10,7 +10,7 @@
 // executor's zero-malloc guarantee.  Work is decomposed into a fixed grid of
 // kMC×kNC output blocks.
 //
-// Determinism contract (what the wavefront differential tests rely on):
+// Determinism contract (what the arena and serving differential tests rely on):
 //   * Each output element is owned by exactly one task of the fixed block
 //     grid, and its value is accumulated in ascending-k order — kKC strips in
 //     order, k ascending within a strip — regardless of how many threads the

@@ -29,8 +29,9 @@ struct ParallelOptions {
 /// installs one around node execution to honor its configured intra-op width
 /// (ExecutorOptions::intra_op_threads) without threading a pool pointer
 /// through every kernel signature.  Scopes nest and restore on destruction.
-/// Thread-local on purpose: each inter-op lane of a wavefront executor
-/// installs its own scope, so overrides never leak across lanes.
+/// Thread-local on purpose: executors running on different threads (serving
+/// workers) each install their own scope, so overrides never leak across
+/// threads.
 class ScopedIntraOpPool {
  public:
   explicit ScopedIntraOpPool(ThreadPool* pool) : previous_(current()) { current() = pool; }
@@ -50,14 +51,21 @@ class ScopedIntraOpPool {
   ThreadPool* previous_;
 };
 
+/// The pool a parallel loop on this thread runs on: `pool` when given, else
+/// the scoped intra-op pool, else the process-global pool.  Every kernel
+/// that forks resolves its pool here.
+inline ThreadPool& resolve_pool(ThreadPool* pool = nullptr) {
+  if (pool == nullptr) pool = ScopedIntraOpPool::active();
+  return pool != nullptr ? *pool : ThreadPool::global();
+}
+
 /// Invokes `body(begin, end)` over disjoint sub-ranges covering [0, count).
 /// The two-argument form lets bodies hoist per-chunk setup (e.g. pointer
 /// arithmetic) out of the inner loop.
 template <typename Body>
 void parallel_for_ranges(std::size_t count, const Body& body, ParallelOptions options = {}) {
   if (count == 0) return;
-  ThreadPool* chosen = options.pool != nullptr ? options.pool : ScopedIntraOpPool::active();
-  ThreadPool& pool = chosen != nullptr ? *chosen : ThreadPool::global();
+  ThreadPool& pool = resolve_pool(options.pool);
   const std::size_t grain = std::max<std::size_t>(1, options.grain);
   if (count <= grain || pool.concurrency() == 1) {
     detail::maybe_inject_task_fault(0);

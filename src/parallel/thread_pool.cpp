@@ -12,13 +12,11 @@ namespace {
 
 failpoints::Site fp_task_throw{"parallel.task_throw"};
 
-// Task-context markers.  `tl_task_depth` is nonzero while the thread is
-// executing a pool task, so a nested `run` can detect it must not fork (the
-// fork-join machinery handles one batch per pool at a time, and the outer
-// batch already owns the workers).  `tl_worker_slot` is assigned once per
-// worker thread and never changes; the owner/caller lane is always 0.
+// Task-context marker: nonzero while the thread is executing a pool task, so
+// a nested `run` can detect it must not fork (the fork-join machinery handles
+// one batch per pool at a time, and the outer batch already owns the
+// workers).
 thread_local int tl_task_depth = 0;
-thread_local std::size_t tl_worker_slot = 0;
 
 struct TaskScope {
   TaskScope() { ++tl_task_depth; }
@@ -63,10 +61,9 @@ ThreadPool::ThreadPool(std::size_t num_threads) {
     const unsigned hw = std::thread::hardware_concurrency();
     n = hw > 0 ? hw : 1;
   }
-  // The calling thread is a participant, so spawn one fewer worker.  Worker
-  // i takes lane id i (1-based); lane 0 belongs to the caller.
+  // The calling thread is a participant, so spawn one fewer worker.
   for (std::size_t i = 1; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -103,8 +100,7 @@ void ThreadPool::work_on(Batch& batch) {
   }
 }
 
-void ThreadPool::worker_loop(std::size_t slot) {
-  tl_worker_slot = slot;
+void ThreadPool::worker_loop() {
   // Each `run` bumps `epoch_`; a worker only considers a batch it has not
   // seen, which makes stack-address reuse across runs harmless.
   std::uint64_t seen = 0;
@@ -194,8 +190,6 @@ void ThreadPool::run(std::size_t num_tasks, const std::function<void(std::size_t
 }
 
 bool ThreadPool::in_task() { return tl_task_depth > 0; }
-
-std::size_t ThreadPool::worker_slot() { return tl_worker_slot; }
 
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;

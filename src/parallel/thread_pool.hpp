@@ -8,12 +8,12 @@
 // never observe concurrent invocations of themselves.
 //
 // Nesting: a task may itself call `run` (on this or any other pool) — e.g. a
-// kernel's parallel_for inside an inter-op node task of the wavefront
-// executor.  The nested call detects it is running on a pool thread
-// (`in_task`) and executes its tasks inline, serially, on that thread: the
-// fork-join machinery supports one batch at a time per pool, and the outer
-// batch already owns the workers.  Results are identical either way — work
-// decomposition never changes accumulation order.
+// kernel's parallel_for inside a serving worker's task, where the worker runs
+// a whole Executor::run.  The nested call detects it is running on a pool
+// thread (`in_task`) and executes its tasks inline, serially, on that
+// thread: the fork-join machinery supports one batch at a time per pool, and
+// the outer batch already owns the workers.  Results are identical either
+// way — work decomposition never changes accumulation order.
 #pragma once
 
 #include <condition_variable>
@@ -72,16 +72,10 @@ class ThreadPool {
   /// `run` checks this to execute nested batches inline.
   static bool in_task();
 
-  /// Lane id of the calling thread: 0 for a pool owner or any non-pool
-  /// thread, i for a pool's i-th worker (1-based).  Unique among the
-  /// participants of one `run` — caller plus that pool's workers — which
-  /// makes it a valid index into `concurrency()`-sized per-lane scratch.
-  static std::size_t worker_slot();
-
  private:
   struct Batch;
 
-  void worker_loop(std::size_t slot);
+  void worker_loop();
   void work_on(Batch& batch);
 
   std::vector<std::thread> workers_;

@@ -40,11 +40,7 @@ ArenaPlan plan_arena(const ir::Graph& graph, ArenaOptions options) {
     ArenaBlock& block = plan.blocks[static_cast<std::size_t>(node.id)];
     block.id = node.id;
     block.bytes = align_up(node.out_shape.bytes()) + plan.canary_bytes;
-    // Concurrency-aware mode widens every interval to wavefront boundaries:
-    // a mid-wave free is impossible when the wave runs concurrently, so slot
-    // sharing is legal only across disjoint wavefront spans.
-    const LiveRange& range = liveness[static_cast<std::size_t>(node.id)];
-    block.range = options.wavefronts != nullptr ? options.wavefronts->widened(range) : range;
+    block.range = liveness[static_cast<std::size_t>(node.id)];
   }
 
   // Greedy best-fit: place tensors largest-first (ties by id for
@@ -99,8 +95,7 @@ ArenaPlan plan_arena(const ir::Graph& graph, ArenaOptions options) {
   }
   plan.scratch_offset = plan.tensor_bytes;
   if (max_scratch > 0) {
-    plan.scratch_slots =
-        options.scratch_slots != 0 ? options.scratch_slots : ThreadPool::global().concurrency();
+    plan.scratch_slots = ThreadPool::global().concurrency();
     plan.scratch_slot_bytes = align_up(max_scratch);
   }
   plan.arena_bytes =

@@ -12,8 +12,10 @@
 //
 // Fused-kernel scratch (the per-worker row buffers of §3.2's tiled kernel) is
 // part of the slab too: one region at the tail, sized for the largest fused
-// node × the number of parallel scratch slots, so the arena-backed executor
-// runs the whole graph with zero per-node heap allocations.
+// node × one slot per lane of the process-global pool (a fused kernel
+// stripes over at most that many slots, fewer when the executor's intra-op
+// pool is narrower), so the arena-backed executor runs the whole graph with
+// zero per-node heap allocations.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +23,6 @@
 
 #include "ir/graph.hpp"
 #include "runtime/liveness.hpp"
-#include "runtime/wavefront.hpp"
 
 namespace temco::runtime {
 
@@ -37,28 +38,12 @@ struct ArenaBlock {
 };
 
 struct ArenaOptions {
-  /// Parallel scratch slots reserved for fused kernels; 0 means "size for the
-  /// process-global thread pool", which is what the executor needs.
-  std::size_t scratch_slots = 0;
-
   /// Guard-band bytes appended to every block (rounded up to
   /// kTensorAlignment; 0 disables).  The executor fills the band with a
   /// poison pattern when the value is defined and checks it when the value
   /// dies, converting a kernel's out-of-slot write into a
   /// MemoryCorruptionError instead of silent corruption of a neighbor.
   std::int64_t canary_bytes = 0;
-
-  /// Concurrency-aware packing mode.  When set, every value's live interval
-  /// is widened to the wavefront boundaries of this partition before packing
-  /// (runtime/wavefront.hpp): two values may share a slot only if their
-  /// defining/consuming wavefronts never overlap, which makes slot reuse
-  /// safe under any interleaving of nodes *within* a wave.  The emitted
-  /// blocks carry the widened ranges, so validate_arena_plan checks the
-  /// concurrent invariant, not the sequential one.  The partition must
-  /// outlive this call but is not retained by the plan.  nullptr keeps the
-  /// sequential §2.2 liveness (a width-1 partition produces a bit-identical
-  /// plan to nullptr).
-  const WavefrontPartition* wavefronts = nullptr;
 };
 
 struct ArenaPlan {

@@ -26,9 +26,9 @@
 // ir::Graph: the copy shares the original's weight tensors by handle and runs
 // the same deterministic kernel on byte-identical inputs, so outputs stay
 // bitwise-identical to the unconstrained schedule and every downstream
-// consumer — executor, wavefront partitioner, arena planner, PassManager
-// verification, artifact serializer — applies unchanged.  The schedule *is*
-// the graph order, exactly as today.
+// consumer — executor, arena planner, PassManager verification, artifact
+// serializer — applies unchanged.  The schedule *is* the graph order, exactly
+// as today.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,6 @@
 #include "runtime/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -149,20 +148,6 @@ Executor::Executor(const ir::Graph& graph, ExecutorOptions options, const Execut
   for (const ir::Node& node : graph_.nodes()) {
     if (node.kind == ir::OpKind::kInput) input_ids_.push_back(node.id);
   }
-  lanes_ = options_.parallelism != 0 ? options_.parallelism : ThreadPool::global().concurrency();
-  if (lanes_ > 1) {
-    TEMCO_CHECK_AS(binding.plan == nullptr, InvalidGraphError)
-        << "a shared arena plan carries sequential liveness; it cannot be bound "
-           "to a wavefront executor (parallelism must be 1)";
-    WavefrontOptions wave_options;
-    wave_options.memory_slack = options_.wavefront_memory_slack;
-    waves_ = partition_wavefronts(graph_, wave_options);
-    validate_wavefronts(graph_, waves_);
-    // A dedicated pool rather than the global one: the global pool serves
-    // *intra*-op parallelism (kernels), and an inter-op node task must be
-    // able to own a lane for its whole duration.
-    inter_pool_ = std::make_unique<ThreadPool>(lanes_);
-  }
   if (options_.intra_op_threads != 0) {
     // Dedicated kernel-loop pool of the configured width; run_node installs
     // it as the scoped intra-op pool so every kernel's internal parallel_for
@@ -201,14 +186,6 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
   } else {
     ArenaOptions arena_options;
     if (options_.arena_canaries) arena_options.canary_bytes = kTensorAlignment;
-    if (lanes_ > 1) {
-      // Concurrency-aware packing: slot sharing only across disjoint waves.
-      arena_options.wavefronts = &waves_;
-      // Scratch must cover the worst of both execution shapes: a solo wave's
-      // fused node striping rows across the global pool, or every inter-op
-      // lane running its own fused node on a private single slot.
-      arena_options.scratch_slots = std::max(lanes_, ThreadPool::global().concurrency());
-    }
     plan_ = plan_arena(graph_, arena_options);
     validate_arena_plan(graph_, plan_);
   }
@@ -266,34 +243,11 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
   // The arena never frees, so the Fig.-4 series cannot be measured here; it
   // is taken from the analytic planner, which the reference executor matches
   // step for step (asserted in tests).
-  if (lanes_ > 1) {
-    // Wavefront regime: every value of a wave is live for the whole wave and
-    // frees land on the closing barrier, so the series is piecewise-constant
-    // per wave.  The parallel reference executor measures exactly this.
-    planned_peak_ = waves_.peak_live_bytes;
-    planned_timeline_.reserve(graph_.size());
-    std::int64_t live = 0;
-    for (const Wave& wave : waves_.waves) {
-      for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-        live += align_up(graph_.node(id).out_shape.bytes());
-      }
-      const std::int64_t during = live;
-      for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-        for (const ir::ValueId dead : dying_[static_cast<std::size_t>(id)]) {
-          if (!graph_.is_output(dead)) live -= align_up(graph_.node(dead).out_shape.bytes());
-        }
-      }
-      for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-        planned_timeline_.push_back(StepTrace{id, live, during});
-      }
-    }
-  } else {
-    const MemoryPlan plan = plan_memory(graph_);
-    planned_peak_ = plan.peak_internal_bytes;
-    planned_timeline_.reserve(plan.steps.size());
-    for (const PlanStep& step : plan.steps) {
-      planned_timeline_.push_back(StepTrace{step.id, step.live_after, step.step_peak});
-    }
+  const MemoryPlan plan = plan_memory(graph_);
+  planned_peak_ = plan.peak_internal_bytes;
+  planned_timeline_.reserve(plan.steps.size());
+  for (const PlanStep& step : plan.steps) {
+    planned_timeline_.push_back(StepTrace{step.id, step.live_after, step.step_peak});
   }
 }
 
@@ -405,12 +359,9 @@ ExecutionResult Executor::run_into(const std::vector<Tensor>& inputs,
 void Executor::run_dispatch(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
                             ExecutionResult& result) {
   // Admission check: a run whose token already stopped never starts.  The
-  // per-node / per-wave polls below bound how much work an in-flight stop
-  // can waste.
+  // per-node polls below bound how much work an in-flight stop can waste.
   if (options_.cancel != nullptr) options_.cancel->raise_if_stopped();
-  if (lanes_ > 1) {
-    run_wavefront(inputs, outputs, result);
-  } else if (options_.use_arena) {
+  if (options_.use_arena) {
     run_arena(inputs, outputs, result);
   } else {
     run_reference(inputs, outputs, result);
@@ -517,165 +468,6 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
   // Outputs are copied out of the slab (it is overwritten by the next run).
   for (std::size_t i = 0; i < outputs.size(); ++i) {
     const Tensor& src = bound_[static_cast<std::size_t>(graph_.outputs()[i])];
-    std::memcpy(outputs[i].data(), src.data(), static_cast<std::size_t>(src.bytes()));
-  }
-}
-
-void Executor::run_wavefront(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                             ExecutionResult& result) {
-  const bool arena = options_.use_arena;
-  const bool canaries = arena && options_.arena_canaries && plan_.canary_bytes > 0;
-  const std::size_t n = graph_.size();
-
-  // Atomic dependency countdown, reset per run.  The wavefront invariant
-  // already guarantees every node of wave w is ready once waves 0..w-1 have
-  // retired; the countdown is kept as an exactly-once consistency guardrail
-  // layered on top: each node asserts its count is zero when it starts and
-  // decrements each consumer's count exactly once when it completes, so a
-  // partition bug (or a torn dispatch) trips a structured check instead of
-  // reading a half-written tensor.
-  std::vector<std::atomic<std::int32_t>> pending(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    pending[i].store(waves_.dep_counts[i], std::memory_order_relaxed);
-  }
-
-  // Reference-regime storage; unused in arena mode.  TrackingAllocator is
-  // internally synchronized, but all allocation happens in the serial
-  // wave-open phase anyway.
-  TrackingAllocator allocator;
-  std::vector<Tensor> values(arena ? 0 : n);
-
-  // Arena-regime scratch.  Solo waves get the full striped region (the fused
-  // kernel parallelizes rows across the global pool, one slot per
-  // participant); nodes of wider waves each get a private single slot
-  // indexed by their lane, and the fused kernel takes its serial in-slot
-  // path — two fused nodes running concurrently never share scratch bytes.
-  const FusedScratch striped{
-      arena ? slab_.get() + plan_.scratch_offset / static_cast<std::int64_t>(sizeof(float))
-            : nullptr,
-      arena ? plan_.scratch_slot_bytes / static_cast<std::int64_t>(sizeof(float)) : 0,
-      arena ? plan_.scratch_slots : 0};
-
-  result.timeline.reserve(n);
-  Timer timer;
-
-  // Runs one node on the calling thread.  Everything it touches is private
-  // to the node — its output storage, its guard band, its scratch slot, its
-  // consumers' atomic counters — so any subset of a wave may run
-  // concurrently.  Thrown errors (kernel checks, check_numerics, failpoints)
-  // propagate through the pool's exactly-once rethrow.
-  auto execute_node = [&](ir::ValueId id, const FusedScratch& scratch) {
-    const std::size_t slot = static_cast<std::size_t>(id);
-    const ir::Node& node = graph_.node(id);
-    TEMCO_CHECK(pending[slot].load(std::memory_order_acquire) == 0)
-        << node.name << " dispatched before its dependency countdown reached zero";
-    if (node.kind == ir::OpKind::kInput) {
-      const std::size_t pos = static_cast<std::size_t>(
-          std::find(input_ids_.begin(), input_ids_.end(), id) - input_ids_.begin());
-      Tensor& dest = arena ? bound_[slot] : values[slot];
-      std::copy(inputs[pos].span().begin(), inputs[pos].span().end(), dest.span().begin());
-    } else if (arena) {
-      run_node(node, args_[slot], bound_[slot], scratch, prepack_->blob(id), intra_pool_.get());
-      check_node_output(node, bound_[slot]);
-    } else {
-      std::vector<const Tensor*> args;
-      args.reserve(node.inputs.size());
-      for (std::size_t i = 0; i < node.inputs.size(); ++i) {
-        const Tensor& t = values[static_cast<std::size_t>(node.inputs[i])];
-        TEMCO_CHECK(t.defined()) << node.name << ": input " << i << " was freed too early";
-        args.push_back(&t);
-      }
-      run_node(node, args, values[slot], scratch, prepack_->blob(id), intra_pool_.get());
-      check_node_output(node, values[slot]);
-    }
-    if (canaries && fp_oob_write.fire()) {
-      // Simulated kernel bug: stomp the first canary byte of this node's slot.
-      reinterpret_cast<unsigned char*>(slab_.get())[plan_.block(id).offset +
-                                                    plan_.payload_bytes(id)] = 0;
-    }
-    for (const ir::ValueId user : waves_.users[slot]) {
-      pending[static_cast<std::size_t>(user)].fetch_sub(1, std::memory_order_acq_rel);
-    }
-  };
-
-  for (const Wave& wave : waves_.waves) {
-    // Cooperative stop between waves only — never inside one, so a stop can
-    // never strand a lane mid-wave or skip a consumer's countdown.
-    if (options_.cancel != nullptr) options_.cancel->raise_if_stopped();
-    // Wave open (serial): bring the wave's values alive.  Arena mode
-    // rewrites guard bands (the bytes may have carried another value in an
-    // earlier wave); reference mode allocates every output up front so the
-    // tracked live set reflects concurrent lifetimes.
-    for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-      if (canaries) write_canary(id);
-      if (!arena) {
-        const ir::Node& node = graph_.node(id);
-        values[static_cast<std::size_t>(id)] =
-            Tensor(node.out_shape, allocator.allocate(node.out_shape.numel()));
-      }
-    }
-    const std::int64_t during = arena ? 0 : allocator.live_bytes();
-
-    // Execute.  A solo wave runs directly on the caller — no task context,
-    // so its kernels keep full intra-op parallelism (and, in arena mode, the
-    // full striped scratch).  Wider waves dispatch one task per node onto
-    // the inter-op pool; kernels inside a task detect the nesting and run
-    // inline on their lane.
-    if (wave.width() == 1) {
-      execute_node(wave.first, striped);
-    } else {
-      inter_pool_->run(wave.width(), [&](std::size_t task) {
-        const ir::ValueId id = wave.first + static_cast<ir::ValueId>(task);
-        FusedScratch lane_scratch;
-        if (arena && striped.slots > 0) {
-          const std::size_t lane = ThreadPool::worker_slot();
-          TEMCO_CHECK(lane < striped.slots)
-              << "lane " << lane << " has no scratch slot (" << striped.slots << " planned)";
-          lane_scratch = FusedScratch{
-              striped.base + static_cast<std::int64_t>(lane) * striped.slot_floats,
-              striped.slot_floats, 1};
-        }
-        execute_node(id, lane_scratch);
-      });
-    }
-
-    // Wave close (serial) — the barrier.  Only now is it safe to inspect
-    // guard bands and retire storage: no lane can still be reading a value
-    // that dies here.
-    for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-      const std::size_t slot = static_cast<std::size_t>(id);
-      if (canaries) {
-        for (const ir::ValueId dead : dying_[slot]) check_canary(dead, graph_.node(id));
-      }
-      if (!arena) {
-        for (const ir::ValueId dead : dying_[slot]) {
-          if (!graph_.is_output(dead)) values[static_cast<std::size_t>(dead)] = Tensor();
-        }
-      }
-    }
-    if (!arena) {
-      const std::int64_t after = allocator.live_bytes();
-      for (ir::ValueId id = wave.first; id <= wave.last; ++id) {
-        result.timeline.push_back(StepTrace{id, after, during});
-      }
-    }
-  }
-
-  result.wall_seconds = timer.elapsed_seconds();
-  result.weight_bytes = graph_.total_weight_bytes();
-  result.packed_weight_bytes = prepack_->bytes;
-  if (arena) {
-    result.peak_internal_bytes = planned_peak_;
-    result.arena_bytes = plan_.arena_bytes;
-    result.heap_allocations = 0;
-    result.timeline = planned_timeline_;
-  } else {
-    result.peak_internal_bytes = allocator.peak_bytes();
-    result.heap_allocations = allocator.total_allocations();
-  }
-  const std::vector<Tensor>& storage = arena ? bound_ : values;
-  for (std::size_t i = 0; i < outputs.size(); ++i) {
-    const Tensor& src = storage[static_cast<std::size_t>(graph_.outputs()[i])];
     std::memcpy(outputs[i].data(), src.data(), static_cast<std::size_t>(src.bytes()));
   }
 }

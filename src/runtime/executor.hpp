@@ -14,20 +14,10 @@
 // per-node heap allocations.  Outputs are bitwise-identical to the reference
 // path (asserted across the model zoo in tests/test_arena.cpp).
 //
-// Either regime can additionally run *inter-op parallel*
-// (ExecutorOptions{.parallelism = N}): construction partitions the schedule
-// into memory-bounded wavefronts (runtime/wavefront.hpp) and run() executes
-// wave by wave, dispatching each wave's mutually independent nodes onto a
-// dedicated thread pool with an atomic per-node dependency countdown.  Waves
-// are separated by barriers, which is what makes the memory story sound: no
-// value is freed (reference) or has its slot reused (arena) while a lane
-// might still be reading it.  In arena mode the plan is packed with
-// wavefront-widened liveness, so two values share bytes only if their waves
-// never overlap.  Outputs remain bit-identical to the sequential paths —
-// kernels fix each output element's accumulation order regardless of how
-// work is partitioned — and all guardrails (check_numerics, canaries,
-// failpoints) stay active under concurrency, with exactly-once fault
-// propagation through the pool.
+// Both regimes run the schedule node by node on the calling thread, as the
+// paper's §2.2 executor does; parallelism lives inside the kernels
+// (ExecutorOptions::intra_op_threads).  Serving gets its concurrency from
+// many executors running different requests (src/serve).
 #pragma once
 
 #include <memory>
@@ -38,7 +28,6 @@
 #include "runtime/allocator.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/liveness.hpp"
-#include "runtime/wavefront.hpp"
 #include "support/cancel.hpp"
 
 namespace temco::runtime {
@@ -115,9 +104,8 @@ struct ExecutorBinding {
   const PackedWeights* prepack = nullptr;
 
   /// Pre-validated plan for this exact graph (plan_arena + validate_arena_plan
-  /// already ran); requires ExecutorOptions::use_arena and parallelism == 1
-  /// (a shared plan carries sequential liveness, not wavefront-widened).
-  /// nullptr plans per-executor.
+  /// already ran); requires ExecutorOptions::use_arena.  nullptr plans
+  /// per-executor.
   const ArenaPlan* plan = nullptr;
 
   /// Caller-owned slab the plan's offsets index into; required with `plan`.
@@ -148,34 +136,22 @@ struct ExecutorOptions {
   /// never-written slots produce NaNs that check_numerics can catch.
   bool arena_canaries = false;
 
-  /// Inter-op lanes.  1 (default): the sequential node-by-node loop.  N > 1:
-  /// wavefront execution on a dedicated N-thread pool (see file comment);
-  /// 0 means "one lane per hardware thread".  Orthogonal to use_arena;
-  /// composes with every guardrail above.
-  std::size_t parallelism = 1;
-
   /// Intra-op width: threads each *kernel* may spread its internal loops
   /// (GEMM block grid, conv rows) across.  0 (default): kernels use the
   /// process-global pool.  N ≥ 1: the executor owns a dedicated N-thread
   /// pool and installs it (ScopedIntraOpPool) around every node it runs —
   /// 1 pins kernels serial.  Results are bit-identical for any width: every
   /// kernel's accumulation order is fixed by geometry, not thread count
-  /// (asserted in tests/test_parallel.cpp).  Composes with inter-op
-  /// `parallelism`: each wavefront lane installs the same intra-op pool, so
-  /// total concurrency is bounded by lanes × intra_op_threads.
+  /// (asserted in tests/test_parallel.cpp).
   std::size_t intra_op_threads = 0;
 
-  /// Budget for concurrent-lifetime widening when parallelism != 1, as a
-  /// multiple of the sequential planned peak (WavefrontOptions::memory_slack).
-  double wavefront_memory_slack = 1.125;
-
-  /// Cooperative stop token, polled between nodes (sequential regimes) and
-  /// between waves (wavefront regime) as well as once at dispatch.  A stop
-  /// surfaces as CancelledError / DeadlineExceededError from run(); the
-  /// executor stays reusable afterwards (the arena is rewritten from scratch
-  /// every run, so an abandoned run leaves no partial state that matters).
-  /// nullptr (default): no polling, zero overhead.  Must outlive the
-  /// executor; owned by the caller (serve::Session owns one per session).
+  /// Cooperative stop token, polled once at dispatch and before every node
+  /// in both regimes.  A stop surfaces as CancelledError /
+  /// DeadlineExceededError from run(); the executor stays reusable
+  /// afterwards (the arena is rewritten from scratch every run, so an
+  /// abandoned run leaves no partial state that matters).  nullptr
+  /// (default): no polling, zero overhead.  Must outlive the executor; owned
+  /// by the caller (serve::Session owns one per session).
   const support::CancelToken* cancel = nullptr;
 };
 
@@ -206,9 +182,6 @@ class Executor {
   /// The adopted packing; nullptr unless use_arena.
   const ArenaPlan* arena_plan() const { return options_.use_arena ? &plan_ : nullptr; }
 
-  /// The adopted partition; nullptr unless parallelism != 1.
-  const WavefrontPartition* wavefronts() const { return lanes_ > 1 ? &waves_ : nullptr; }
-
  private:
   void bind_arena(const ExecutorBinding& binding);
   void check_inputs(const std::vector<Tensor>& inputs) const;
@@ -222,8 +195,6 @@ class Executor {
                      ExecutionResult& result);
   void run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
                  ExecutionResult& result);
-  void run_wavefront(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                     ExecutionResult& result);
 
   const ir::Graph& graph_;
   ExecutorOptions options_;
@@ -239,11 +210,6 @@ class Executor {
   // arena plan, its canaries, and the zero-allocation guarantee alike.
   PackedWeights own_prepack_;
   const PackedWeights* prepack_ = nullptr;
-
-  // ---- wavefront state (populated only when lanes_ > 1) -------------------
-  std::size_t lanes_ = 1;
-  WavefrontPartition waves_;
-  std::unique_ptr<ThreadPool> inter_pool_;
 
   /// Dedicated kernel-loop pool (populated only when intra_op_threads != 0);
   /// installed as the scoped intra-op pool around every run_node call.

@@ -49,8 +49,7 @@ Graph rebuild_in_order(const Graph& graph, const std::vector<ValueId>& order) {
   return out;
 }
 
-ScheduleResult schedule_for_memory(const ir::Graph& graph,
-                                   const WavefrontOptions& wave_options) {
+ScheduleResult schedule_for_memory(const ir::Graph& graph) {
   const std::size_t n = graph.size();
   const auto users = graph.users();
 
@@ -128,12 +127,7 @@ ScheduleResult schedule_for_memory(const ir::Graph& graph,
     result.graph = graph;
     result.peak_after = result.peak_before;
   }
-  // Concurrency metadata for whichever order won: the partition is a
-  // property of the final schedule, so it is computed last.
-  result.wavefronts = partition_wavefronts(result.graph, wave_options);
-  TEMCO_INFO() << "scheduler: peak " << result.peak_before << " -> " << result.peak_after
-               << ", " << result.wavefronts.waves.size() << " wavefront(s), max width "
-               << result.wavefronts.max_width;
+  TEMCO_INFO() << "scheduler: peak " << result.peak_before << " -> " << result.peak_after;
   return result;
 }
 

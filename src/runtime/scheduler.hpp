@@ -8,16 +8,9 @@
 // ties by the transient step peak).  The schedule is returned as a new Graph
 // whose list order *is* the schedule, so every downstream consumer
 // (executor, planner, TeMCO passes) applies unchanged.
-//
-// The chosen schedule is also annotated with concurrency metadata: a
-// memory-bounded wavefront partition plus per-node dependency counts
-// (runtime/wavefront.hpp), which is everything the inter-op parallel
-// executor and the concurrency-aware arena packer need.  Scheduling and the
-// memory plan stay one coupled artifact, with concurrency as a third axis.
 #pragma once
 
 #include "ir/graph.hpp"
-#include "runtime/wavefront.hpp"
 
 namespace temco::runtime {
 
@@ -25,17 +18,11 @@ struct ScheduleResult {
   ir::Graph graph;
   std::int64_t peak_before = 0;  ///< planned peak of the input order
   std::int64_t peak_after = 0;   ///< planned peak of the chosen order
-
-  /// Concurrency metadata of `graph`'s order: memory-bounded wavefronts,
-  /// per-node dependency counts, and consumer lists.
-  WavefrontPartition wavefronts;
 };
 
 /// Greedy peak-minimizing topological reordering.  Never returns a schedule
 /// worse than the input order (falls back to it when the greedy choice loses).
-/// `wave_options` bounds the wavefront partition emitted for the final order.
-ScheduleResult schedule_for_memory(const ir::Graph& graph,
-                                   const WavefrontOptions& wave_options = {});
+ScheduleResult schedule_for_memory(const ir::Graph& graph);
 
 /// Rebuilds the graph with nodes in `order` (a topological permutation of
 /// ids).  Only ids are remapped: names, weight tensors (shared, not copied),

@@ -34,7 +34,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
   base.verify();
 
   runtime::ArenaOptions arena_options;
-  arena_options.scratch_slots = 0;  // size for the global intra-op pool
   if (options.arena_canaries) arena_options.canary_bytes = kTensorAlignment;
 
   const std::int64_t budget =

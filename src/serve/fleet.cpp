@@ -390,20 +390,16 @@ void FleetServer::worker_loop() {
                                         std::memory_order_relaxed);
     }
 
-    const std::size_t claimed = batch.size();
     BatchOutcome outcome;
     execute_batch(*model, std::move(lease), batch, degraded, outcome);
-    finish_batch(model, claimed, outcome);
+    finish_batch(model, outcome);
   }
 }
 
-void FleetServer::finish_batch(const ModelPtr& model, std::size_t claimed,
-                               const BatchOutcome& outcome) {
+void FleetServer::finish_batch(const ModelPtr& model, const BatchOutcome& outcome) {
   bool drained = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    model->in_flight -= static_cast<std::int64_t>(claimed);
-    model->metrics->in_flight.store(model->in_flight, std::memory_order_relaxed);
     if (outcome.executed > 0) {
       const double per_req = outcome.exec_seconds / static_cast<double>(outcome.executed);
       model->exec_per_req_hat = model->exec_per_req_hat == 0.0
@@ -532,31 +528,34 @@ bool FleetServer::resolve_error(Model& model, Request& request, const std::excep
   return true;
 }
 
+void FleetServer::release_in_flight(Model& model, std::size_t count) {
+  if (count == 0) return;
+  std::lock_guard<std::mutex> lock(mutex_);
+  model.in_flight -= static_cast<std::int64_t>(count);
+  model.metrics->in_flight.store(model.in_flight, std::memory_order_relaxed);
+}
+
 void FleetServer::fail_batch(Model& model, std::vector<RequestPtr>& batch,
-                             const std::exception_ptr& error) {
-  for (const RequestPtr& request : batch) {
-    resolve_error(model, *request, error, model.metrics->failed);
-  }
+                             const std::exception_ptr& error,
+                             std::atomic<std::uint64_t>& counter) {
+  release_in_flight(model, batch.size());
+  for (const RequestPtr& request : batch) resolve_error(model, *request, error, counter);
   batch.clear();
 }
 
 void FleetServer::sweep_expired(Model& model, std::vector<RequestPtr>& batch) {
   const auto now = std::chrono::steady_clock::now();
-  std::exception_ptr error;
-  std::vector<RequestPtr> keep;
+  std::vector<RequestPtr> keep, expired;
   keep.reserve(batch.size());
   for (RequestPtr& request : batch) {
-    if (request->expired(now)) {
-      if (error == nullptr) {
-        error = std::make_exception_ptr(
-            DeadlineExceededError("request deadline expired before execution"));
-      }
-      resolve_error(model, *request, error, model.metrics->deadline_expired);
-    } else {
-      keep.push_back(std::move(request));
-    }
+    (request->expired(now) ? expired : keep).push_back(std::move(request));
   }
   batch.swap(keep);
+  if (expired.empty()) return;
+  fail_batch(model, expired,
+             std::make_exception_ptr(
+                 DeadlineExceededError("request deadline expired before execution")),
+             model.metrics->deadline_expired);
 }
 
 void FleetServer::backoff_sleep(std::size_t attempt) {
@@ -626,7 +625,7 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
         lease = model.pool->acquire();
       } catch (...) {
         breaker_failure(model);
-        fail_batch(model, batch, std::current_exception());
+        fail_batch(model, batch, std::current_exception(), met.failed);
         return;
       }
     }
@@ -654,8 +653,13 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
       outcome.exec_seconds = exec_s;
       outcome.executed = batch.size();
       breaker_success(model);
-      for (std::size_t r = 0; r < batch.size(); ++r) {
-        const auto& request = batch[r];
+      // Released exactly once: from here on the batch is empty, so the
+      // fault path below has nothing left to release.
+      std::vector<RequestPtr> served;
+      served.swap(batch);
+      release_in_flight(model, served.size());
+      for (std::size_t r = 0; r < served.size(); ++r) {
+        const auto& request = served[r];
         const double ms = seconds_between(request->submitted_at,
                                           std::chrono::steady_clock::now()) *
                           1e3;
@@ -663,7 +667,6 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
           outcome.latencies_ms.push_back(ms);
         }
       }
-      batch.clear();
       return;
     } catch (...) {
       token.reset();
@@ -684,17 +687,11 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
         case FaultClass::kDeadline: {
           // The batch outlived its SLO.  That is the client's answer, not a
           // server-health signal: no breaker failure, no retry.
-          for (const RequestPtr& request : batch) {
-            resolve_error(model, *request, error, met.deadline_expired);
-          }
-          batch.clear();
+          fail_batch(model, batch, error, met.deadline_expired);
           return;
         }
         case FaultClass::kCancelled: {
-          for (const RequestPtr& request : batch) {
-            resolve_error(model, *request, error, met.cancelled);
-          }
-          batch.clear();
+          fail_batch(model, batch, error, met.cancelled);
           return;
         }
         case FaultClass::kTransient: {
@@ -719,7 +716,7 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
       // Fault isolation: exactly this batch's requests observe the error;
       // the worker and every other model stay serviceable.
       breaker_failure(model);
-      fail_batch(model, batch, error);
+      fail_batch(model, batch, error, met.failed);
       return;
     }
   }

@@ -262,13 +262,20 @@ class FleetServer {
   ModelPtr pick_model(SessionPool::Lease& lease);
   void execute_batch(Model& model, SessionPool::Lease lease, std::vector<RequestPtr>& batch,
                      bool degraded, BatchOutcome& outcome);
-  void finish_batch(const ModelPtr& model, std::size_t claimed, const BatchOutcome& outcome);
+  void finish_batch(const ModelPtr& model, const BatchOutcome& outcome);
   void adapt_locked(Model& model);
 
   bool resolve_value(Model& model, Request& request, std::vector<Tensor> value);
   bool resolve_error(Model& model, Request& request, const std::exception_ptr& error,
                      std::atomic<std::uint64_t>& counter);
-  void fail_batch(Model& model, std::vector<RequestPtr>& batch, const std::exception_ptr& error);
+  /// Takes `count` claimed requests off Model::in_flight.  Called before
+  /// their promises resolve, so a client that resubmits as soon as get()
+  /// returns is not charged, at admission, for its own finished request.
+  void release_in_flight(Model& model, std::size_t count);
+  /// Releases and resolves every request in `batch` with `error`, counting
+  /// each under `counter`; leaves `batch` empty.
+  void fail_batch(Model& model, std::vector<RequestPtr>& batch, const std::exception_ptr& error,
+                  std::atomic<std::uint64_t>& counter);
   void sweep_expired(Model& model, std::vector<RequestPtr>& batch);
   void backoff_sleep(std::size_t attempt);
   void breaker_failure(Model& model);

@@ -45,7 +45,6 @@ Session::Session(std::shared_ptr<const CompiledModel> model)
     exec_options.use_arena = true;
     exec_options.check_numerics = model_->options().check_numerics;
     exec_options.arena_canaries = model_->options().arena_canaries;
-    exec_options.parallelism = 1;
     exec_options.intra_op_threads = model_->options().intra_op_threads;
     exec_options.cancel = &token_;
     runtime::ExecutorBinding binding;
@@ -65,7 +64,6 @@ Session::Session(std::shared_ptr<const CompiledModel> model)
     exec_options.use_arena = true;
     exec_options.check_numerics = true;
     exec_options.arena_canaries = model_->options().arena_canaries;
-    exec_options.parallelism = 1;
     exec_options.intra_op_threads = 1;
     exec_options.cancel = &token_;
     runtime::ExecutorBinding binding;

@@ -1,11 +1,11 @@
 // Cooperative cancellation and deadlines.
 //
 // A CancelToken is a tiny shared flag that long-running work polls between
-// natural preemption points — the Executor checks it between nodes (serial
-// regimes) and between waves (wavefront regime); the serving layer checks it
-// at admission and batch formation.  Cancellation is one-way and sticky until
-// reset(): the owner of the computation (a serving Session) resets the token
-// between checkouts, workers only ever observe or raise it.
+// natural preemption points — the Executor checks it before every node; the
+// serving layer checks it at admission and batch formation.  Cancellation is
+// one-way and sticky until reset(): the owner of the computation (a serving
+// Session) resets the token between checkouts, workers only ever observe or
+// raise it.
 //
 // Two independent stop sources share the token so poll sites stay single:
 //   - cancel(): an external actor (the watchdog, shutdown) abandons the work;

@@ -8,7 +8,12 @@
 //   (2) zero per-node heap allocations on the arena's steady-state path,
 //   (3) arena_bytes >= the planner's peak_with_scratch (packing can never
 //       beat the liveness lower bound) with packing ratio <= 1.25.
+// The ExecutorOptions matrix then checks that every combination of regime,
+// guardrails and intra-op width stays bitwise-identical to the reference.
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "core/temco.hpp"
 #include "decomp/pass.hpp"
@@ -18,6 +23,7 @@
 #include "runtime/planner.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/align.hpp"
+#include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "tensor/compare.hpp"
 
@@ -88,6 +94,68 @@ TEST_P(ZooArenaTest, DifferentialAcrossVariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooArenaTest,
+                         ::testing::Values("alexnet", "vgg11", "vgg16", "vgg19", "resnet18",
+                                           "resnet34", "densenet121", "densenet169", "unet",
+                                           "unet_half"));
+
+// ---- intra-op width ---------------------------------------------------------
+
+/// Both regimes at intra-op widths 1, 2 and 8 against the default-width
+/// reference executor: outputs must match bit for bit, and the arena must
+/// stay zero-malloc.  Width 8 outnumbers the scratch slots planned for the
+/// global pool on small hosts, so fused kernels must clamp their stripes to
+/// both.  `guarded` adds the numeric check and slab canaries.
+void check_width_invariance(const Graph& graph, const std::string& label, bool guarded) {
+  Rng rng(7002);
+  std::vector<Tensor> inputs;
+  for (const auto& node : graph.nodes()) {
+    if (node.kind == ir::OpKind::kInput) {
+      inputs.push_back(Tensor::random_normal(node.out_shape, rng));
+    }
+  }
+  const auto baseline = runtime::execute(graph, inputs);
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    for (const bool use_arena : {false, true}) {
+      const std::string cell =
+          label + (use_arena ? "/arena" : "/reference") + "/width=" + std::to_string(width);
+      runtime::ExecutorOptions options;
+      options.use_arena = use_arena;
+      options.check_numerics = guarded;
+      options.arena_canaries = guarded;
+      options.intra_op_threads = width;
+      const auto got = runtime::execute(graph, inputs, options);
+      ASSERT_EQ(got.outputs.size(), baseline.outputs.size()) << cell;
+      for (std::size_t i = 0; i < got.outputs.size(); ++i) {
+        EXPECT_EQ(max_abs_diff(baseline.outputs[i], got.outputs[i]), 0.0f)
+            << cell << ": output " << i << " depends on the intra-op width";
+      }
+      if (use_arena) EXPECT_EQ(got.heap_allocations, 0) << cell;
+    }
+  }
+}
+
+class ZooIntraOpTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ZooIntraOpTest, OriginalIsBitInvariantAcrossWidths) {
+  const auto& spec = models::find_model(GetParam());
+  check_width_invariance(spec.build(zoo_config()), spec.name + "/original", false);
+}
+
+TEST_P(ZooIntraOpTest, DecomposedIsBitInvariantAcrossWidths) {
+  const auto& spec = models::find_model(GetParam());
+  const auto decomposed = decomp::decompose(spec.build(zoo_config()), {.ratio = 0.25}).graph;
+  check_width_invariance(decomposed, spec.name + "/decomposed", false);
+}
+
+TEST_P(ZooIntraOpTest, GuardedOptimizedIsBitInvariantAcrossWidths) {
+  // Fused kernels (striped scratch) and replayed restore layers, with every
+  // guardrail armed.
+  const auto& spec = models::find_model(GetParam());
+  const auto decomposed = decomp::decompose(spec.build(zoo_config()), {.ratio = 0.25}).graph;
+  check_width_invariance(core::optimize(decomposed, {}), spec.name + "/optimized", true);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllModels, ZooIntraOpTest,
                          ::testing::Values("alexnet", "vgg11", "vgg16", "vgg19", "resnet18",
                                            "resnet34", "densenet121", "densenet169", "unet",
                                            "unet_half"));
@@ -192,6 +260,89 @@ TEST(ArenaExecutorTest, RejectsWrongInputs) {
   runtime::Executor executor(g, {.use_arena = true});
   EXPECT_THROW(executor.run({}), Error);
   EXPECT_THROW(executor.run({Tensor::zeros(Shape{1, 3, 8, 8})}), Error);
+}
+
+// ---- ExecutorOptions matrix -------------------------------------------------
+
+/// Small model with fused kernels (arena scratch) and concat/upsample
+/// transforms: decomposed + TeMCO-optimized U-Net at a tiny configuration,
+/// built once and shared by every matrix cell.
+const Graph& matrix_model() {
+  static const Graph graph = [] {
+    models::ModelConfig config;
+    config.batch = 1;
+    config.image = 16;
+    config.width = 0.125;
+    config.classes = 10;
+    config.seed = 47;
+    const auto decomposed =
+        decomp::decompose(models::build_unet(true, config), {.ratio = 0.25}).graph;
+    return core::optimize(decomposed, {});
+  }();
+  return graph;
+}
+
+/// (use_arena, check_numerics, arena_canaries, intra_op_threads)
+using MatrixCell = std::tuple<bool, bool, bool, std::size_t>;
+
+class ExecutorMatrixTest : public ::testing::TestWithParam<MatrixCell> {};
+
+TEST_P(ExecutorMatrixTest, EveryOptionCombinationMatchesTheReferenceBitwise) {
+  const auto [use_arena, check_numerics, canaries, intra_op_threads] = GetParam();
+  const Graph& graph = matrix_model();
+  Rng rng(8104);
+  const Tensor input = Tensor::random_normal(graph.node(0).out_shape, rng);
+  const auto baseline = runtime::execute(graph, {input});
+
+  runtime::ExecutorOptions options;
+  options.use_arena = use_arena;
+  options.check_numerics = check_numerics;
+  options.arena_canaries = canaries;
+  options.intra_op_threads = intra_op_threads;
+  runtime::Executor executor(graph, options);
+  for (int run = 0; run < 2; ++run) {
+    const auto result = executor.run({input});
+    ASSERT_EQ(result.outputs.size(), baseline.outputs.size());
+    for (std::size_t i = 0; i < result.outputs.size(); ++i) {
+      EXPECT_EQ(max_abs_diff(baseline.outputs[i], result.outputs[i]), 0.0f)
+          << "run " << run << ", output " << i;
+    }
+    if (use_arena) {
+      EXPECT_EQ(result.heap_allocations, 0) << "run " << run;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Options, ExecutorMatrixTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(std::size_t{0}, std::size_t{1}, std::size_t{3})),
+    [](const ::testing::TestParamInfo<MatrixCell>& info) {
+      return std::string(std::get<0>(info.param) ? "Arena" : "Reference") +
+             (std::get<1>(info.param) ? "_Numerics" : "") +
+             (std::get<2>(info.param) ? "_Canaries" : "") + "_Intra" +
+             std::to_string(std::get<3>(info.param));
+    });
+
+TEST(ArenaExecutorTest, SurvivesInterleavedFaultInjection) {
+  // Alternate clean and fault-injected runs on one guarded arena executor:
+  // every fault surfaces as exactly one typed error, and the next clean run
+  // is bitwise-identical again — no torn slab state, no stuck pool.
+  const Graph& graph = matrix_model();
+  Rng rng(8109);
+  const Tensor input = Tensor::random_normal(graph.node(0).out_shape, rng);
+  const auto baseline = runtime::execute(graph, {input});
+  runtime::Executor executor(
+      graph, {.use_arena = true, .check_numerics = true, .arena_canaries = true});
+  const char* sites[] = {"kernels.poison_nan", "parallel.task_throw", "executor.oob_write"};
+  for (int round = 0; round < 6; ++round) {
+    {
+      failpoints::ScopedArm arm(sites[round % 3], 1);
+      EXPECT_THROW(executor.run({input}), Error) << sites[round % 3];
+    }
+    const auto clean = executor.run({input});
+    EXPECT_EQ(max_abs_diff(baseline.outputs[0], clean.outputs[0]), 0.0f) << "round " << round;
+  }
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 //   B3  schedule_for_budget: unconstrained never-worse, generous budgets,
 //       a synthetic graph where only rematerialization can meet the budget,
 //       unmeetable budgets degrade instead of throwing — all bitwise-identical
-//       across {reference, arena} × {serial, parallel} executors
+//       across the {reference, arena} executors
 //   B4  zoo acceptance at the bench geometry: every 50%-of-unconstrained miss
 //       sits below the intrinsic schedule floor (infeasible for ANY scheduler),
 //       and the search meets the raw 50% budget on at least half the zoo
@@ -168,15 +168,10 @@ Graph remat_graph() {
 void expect_bitwise_on_all_regimes(const Graph& scheduled, const Tensor& input,
                                    const Tensor& reference) {
   for (const bool use_arena : {false, true}) {
-    for (const std::size_t parallelism : {std::size_t{1}, std::size_t{2}}) {
-      runtime::ExecutorOptions options;
-      options.use_arena = use_arena;
-      options.parallelism = parallelism;
-      const auto result = runtime::execute(scheduled, {input}, options);
-      ASSERT_EQ(result.outputs.size(), 1u);
-      EXPECT_EQ(max_abs_diff(result.outputs[0], reference), 0.0f)
-          << "diverged with use_arena=" << use_arena << " parallelism=" << parallelism;
-    }
+    const auto result = runtime::execute(scheduled, {input}, {.use_arena = use_arena});
+    ASSERT_EQ(result.outputs.size(), 1u);
+    EXPECT_EQ(max_abs_diff(result.outputs[0], reference), 0.0f)
+        << "diverged with use_arena=" << use_arena;
   }
 }
 

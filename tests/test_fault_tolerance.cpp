@@ -215,24 +215,6 @@ TEST_F(CancelTokenTest, SessionRunStopsOnCancel) {
   EXPECT_NO_THROW(session.run(inputs));
 }
 
-TEST_F(CancelTokenTest, WavefrontExecutorPollsTheTokenBetweenWaves) {
-  const auto& spec = models::find_model("alexnet");
-  const ir::Graph graph =
-      decomp::decompose(spec.build(serve_config()), {.ratio = 0.25}).graph;
-  support::CancelToken token;
-  runtime::ExecutorOptions options;
-  options.use_arena = true;
-  options.parallelism = 2;
-  options.cancel = &token;
-  runtime::Executor executor(graph, options);
-  Rng rng(6);
-  const Tensor x = Tensor::random_normal(graph.node(0).out_shape, rng);
-  token.cancel();
-  EXPECT_THROW(executor.run({x}), CancelledError);
-  token.reset();
-  EXPECT_NO_THROW(executor.run({x})) << "executor must stay reusable after a cancelled run";
-}
-
 // ---- retry with a budget ---------------------------------------------------
 
 TEST_F(RetryTest, TransientFaultRetriesOnSameBatchAndSucceeds) {

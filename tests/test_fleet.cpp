@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -268,6 +269,43 @@ TEST(FleetServerTest, AdmissionRejectsPredictablyDoomedRequests) {
   const auto snap = find_snapshot(fleet.snapshot(), "tight");
   EXPECT_EQ(snap.rejected_slo, static_cast<std::uint64_t>(shed));
   EXPECT_EQ(snap.accepted, 6u + static_cast<std::uint64_t>(accepted.size()));
+}
+
+TEST(FleetServerTest, ResolvedRequestsNoLongerCountAgainstAdmission) {
+  // A request leaves the in-flight count before its future resolves, on the
+  // value path and on the error path alike, so a client that resubmits as
+  // soon as get() returns is not charged for its own finished request.  The
+  // tight target makes that charge visible: one pending resnet18 request is
+  // already a predicted miss.
+  auto model = compile_zoo_model("resnet18", 4);
+  FleetOptions options;
+  options.workers = 1;
+  options.sessions_per_model = 1;
+  options.max_retries = 0;  // an injected transient fault fails its request
+  FleetServer fleet(options);
+  fleet.install("tight", model, {.target_p99 = 1ms, .weight = 1.0});
+
+  Rng rng(29);
+  const auto request = random_request(*model, rng);
+  for (int r = 0; r < 24; ++r) {
+    std::future<std::vector<Tensor>> future;
+    const bool inject = r % 4 == 3;
+    {
+      std::optional<failpoints::ScopedArm> arm;
+      if (inject) arm.emplace("serve.exec_transient", 1);
+      ASSERT_NO_THROW(future = fleet.submit("tight", request)) << "request " << r;
+      if (inject) {
+        EXPECT_THROW(future.get(), TransientFaultError) << "request " << r;
+      } else {
+        EXPECT_NO_THROW(future.get()) << "request " << r;
+      }
+    }
+    EXPECT_EQ(find_snapshot(fleet.snapshot(), "tight").in_flight, 0) << "request " << r;
+  }
+  const auto snap = find_snapshot(fleet.snapshot(), "tight");
+  EXPECT_EQ(snap.rejected_slo, 0u);
+  EXPECT_EQ(snap.completed, 18u);
+  EXPECT_EQ(snap.failed, 6u);
 }
 
 TEST(FleetServerTest, DeadlinesRejectExpiredAndNeverDeliverLateValues) {

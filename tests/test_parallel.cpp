@@ -2,11 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <numeric>
-#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -16,7 +13,9 @@
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
 #include "runtime/executor.hpp"
+#include "support/failpoint.hpp"
 #include "support/rng.hpp"
+#include "tensor/compare.hpp"
 
 namespace temco {
 namespace {
@@ -74,8 +73,8 @@ TEST(ThreadPoolTest, ConcurrencyCountsCaller) {
 }
 
 TEST(ThreadPoolTest, NestedRunExecutesInlineAndCompletes) {
-  // A task may itself call run (the wavefront executor's node tasks invoke
-  // kernels whose parallel_for targets the global pool).  The nested batch
+  // A task may itself call run (a serving worker's task runs an Executor
+  // whose kernels' parallel_for targets the global pool).  The nested batch
   // must detect the task context, run inline, and never deadlock.
   ThreadPool outer(4);
   ThreadPool inner(4);
@@ -91,29 +90,6 @@ TEST(ThreadPoolTest, NestedRunExecutesInlineAndCompletes) {
   });
   EXPECT_EQ(count.load(), 8 * (16 + 4));
   EXPECT_FALSE(ThreadPool::in_task());
-}
-
-TEST(ThreadPoolTest, WorkerSlotsAreBoundedAndCallerIsZero) {
-  // Lane ids index per-lane scratch: the caller must be 0, every worker must
-  // be unique in [1, concurrency), and ids must be stable across batches.
-  EXPECT_EQ(ThreadPool::worker_slot(), 0u);
-  ThreadPool pool(4);
-  std::mutex mutex;
-  std::map<std::thread::id, std::set<std::size_t>> slots_by_thread;
-  for (int round = 0; round < 20; ++round) {
-    pool.run(64, [&](std::size_t) {
-      const std::size_t slot = ThreadPool::worker_slot();
-      ASSERT_LT(slot, pool.concurrency());
-      std::lock_guard<std::mutex> lock(mutex);
-      slots_by_thread[std::this_thread::get_id()].insert(slot);
-    });
-  }
-  std::set<std::size_t> distinct;
-  for (const auto& [thread, slots] : slots_by_thread) {
-    EXPECT_EQ(slots.size(), 1u) << "a thread's lane id changed between batches";
-    distinct.insert(*slots.begin());
-  }
-  EXPECT_EQ(distinct.size(), slots_by_thread.size()) << "two threads share a lane id";
 }
 
 TEST(ThreadPoolTest, StressManyBatchesWithRacingExceptions) {
@@ -286,6 +262,42 @@ TEST(ScopedIntraOpPoolTest, UnqualifiedParallelForRunsOnTheScopedPool) {
   EXPECT_EQ(off_thread.load(), 0);
 }
 
+TEST(ScopedIntraOpPoolTest, ArenaFusedKernelHonoursTheExecutorsIntraOpWidth) {
+  // The arena path of the fused kernel stripes rows over scratch slots
+  // planned for the global pool.  At intra_op_threads = 1 it must still run
+  // every stripe on the caller, with no pool batch at all.  The
+  // parallel.task_throw failpoint fires once per pool task; rows narrower
+  // than a GEMM register tile (kNR) take the kernel's inline loops, which
+  // evaluate no failpoint, so any hit here is a pool task.  The fused node
+  // has 2 × 16 row tasks, enough to fork.
+  static_assert(kernels::gemm::kNR > 4);
+  Rng rng(5);
+  ir::Graph g;
+  const auto x = g.input(Shape{2, 4, 16, 4}, "x");
+  const auto fused = g.fused_conv_act_conv(
+      x, Tensor::random_normal(Shape{12, 4, 1, 1}, rng, 0.4f),
+      Tensor::random_normal(Shape{12}, rng, 0.1f),
+      Tensor::random_normal(Shape{4, 12, 1, 1}, rng, 0.4f),
+      Tensor::random_normal(Shape{4}, rng, 0.1f), ir::ActKind::kRelu, false, ir::PoolKind::kMax,
+      2, 2, "fused");
+  g.set_outputs({fused});
+  g.infer_shapes();
+  const Tensor input = Tensor::random_normal(Shape{2, 4, 16, 4}, rng);
+
+  runtime::Executor serial(g, {.use_arena = true, .intra_op_threads = 1});
+  runtime::Executor pooled(g, {.use_arena = true});
+  const Tensor expected = pooled.run({input}).outputs[0];
+  failpoints::ScopedArm arm("parallel.task_throw");
+  Tensor got;
+  ASSERT_NO_THROW(got = serial.run({input}).outputs[0]) << "the fused kernel forked at width 1";
+  EXPECT_EQ(max_abs_diff(expected, got), 0.0f);
+  // The probe sees a fork when one is due: on a multi-lane global pool the
+  // default-width executor stripes the same node across it.
+  if (ThreadPool::global().concurrency() > 1) {
+    EXPECT_THROW(pooled.run({input}), NumericError);
+  }
+}
+
 TEST(ScopedIntraOpPoolTest, RetiredScopedPoolRunsForcedIsaKernelsInlineWithoutDeadlock) {
   // The serving shutdown order can leave a kernel's unqualified parallel_for
   // resolving to a pool whose workers are already retired (ScopedIntraOpPool
@@ -338,10 +350,10 @@ TEST(ScopedIntraOpPoolTest, RetiredScopedPoolRunsForcedIsaKernelsInlineWithoutDe
 
 // ---- bit-determinism across thread counts -----------------------------------
 
-/// The property the wavefront executor, the arena differential tests, and the
-/// serving runtime all lean on: for a fixed kernel tier, the GEMM block grid
-/// assigns every output element a geometry-determined owner and accumulation
-/// order, so thread count must never change a single bit.
+/// The property the arena differential tests and the serving runtime both
+/// lean on: for a fixed kernel tier, the GEMM block grid assigns every output
+/// element a geometry-determined owner and accumulation order, so thread
+/// count must never change a single bit.
 TEST(ThreadInvarianceTest, MultithreadedGemmBitwiseIdenticalToSingleThread) {
   namespace gemm = kernels::gemm;
   const std::int64_t m = 96, n = 1024, k = 300;  // spans blocks and k-strips

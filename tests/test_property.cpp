@@ -134,6 +134,29 @@ TEST_P(RandomDagTest, ArenaNeverOverlapsConcurrentlyLiveTensors) {
   EXPECT_EQ(arena.heap_allocations, 0);
 }
 
+TEST_P(RandomDagTest, CanaryArmedArenaMatchesAtEveryIntraOpWidth) {
+  // P1c: one guarded arena executor per intra-op width, run twice on the
+  // same slab: no canary or numeric check fires, and every run reproduces
+  // the reference executor bit for bit.
+  const auto g = random_dag(static_cast<std::uint64_t>(GetParam()) * 104729 + 17);
+  Rng rng(11);
+  const Tensor input = Tensor::random_normal(Shape{1, 4, 8, 8}, rng);
+  const auto ref = runtime::execute(g, {input});
+  for (const std::size_t width : {std::size_t{1}, std::size_t{3}}) {
+    runtime::Executor executor(g, {.use_arena = true,
+                                   .check_numerics = true,
+                                   .arena_canaries = true,
+                                   .intra_op_threads = width});
+    for (int run = 0; run < 2; ++run) {
+      runtime::ExecutionResult got;
+      ASSERT_NO_THROW(got = executor.run({input})) << "width " << width << ", run " << run;
+      EXPECT_EQ(max_abs_diff(ref.outputs[0], got.outputs[0]), 0.0f)
+          << "width " << width << ", run " << run;
+      EXPECT_EQ(got.heap_allocations, 0) << "width " << width << ", run " << run;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomDagTest, ::testing::Range(0, 12));
 
 // ---- P2: TeMCO invariants over decomposed chains ------------------------------
