@@ -35,6 +35,8 @@
 #include "kernels/kernels.hpp"
 #include "kernels/naive.hpp"
 #include "linalg/matmul.hpp"
+#include "parallel/parallel_for.hpp"
+#include "parallel/thread_pool.hpp"
 #include "support/cpu.hpp"
 #include "support/rng.hpp"
 #include "support/timer.hpp"
@@ -249,33 +251,70 @@ void matmul_cases() {
   std::printf("\n");
 }
 
+struct SandwichCase {
+  std::int64_t n, c2, cp, c3, side;
+  std::int64_t pool_k = 0;  ///< 0: no pool; else a max pool, stride 2
+};
+
+/// The 8>64>8 row at 32×32, then DenseNet-121's restore nodes (width 0.25,
+/// image 32, batch 4): 1×1, 3×3 and 7×7 dense-block rows, all narrower than
+/// one register tile, and the max-pooled 16×16 → 7×7 stem node.  Both
+/// variants run on a one-thread intra-op pool, the width the fig11 benchmark
+/// uses, so a fork does not swamp the few microseconds a narrow node takes.
 void fused_sandwich() {
-  const std::int64_t c2 = 8, cp = 64, c3 = 8, side = 32;
-  const Tensor x = random(Shape{1, c2, side, side}, 9);
-  const Tensor w1 = random(Shape{cp, c2, 1, 1}, 10);
-  const Tensor b1 = random(Shape{cp}, 11);
-  const Tensor w2 = random(Shape{c3, cp, 1, 1}, 12);
-  const Tensor b2 = random(Shape{c3}, 13);
-  Tensor mid = Tensor::zeros(Shape{1, cp, side, side});
-  Tensor act = Tensor::zeros(Shape{1, cp, side, side});
-  Tensor out = Tensor::zeros(Shape{1, c3, side, side});
-  const double flops = 2.0 * static_cast<double>(side * side * (cp * c2 + c3 * cp));
-  char shape[64];
-  std::snprintf(shape, sizeof(shape), "%lld>%lld>%lld@%lldx%lld", static_cast<long long>(c2),
-                static_cast<long long>(cp), static_cast<long long>(c3),
-                static_cast<long long>(side), static_cast<long long>(side));
-  const double unfused_ns = bench_case("sandwich", shape, "unfused", flops, 0.0, [&] {
-    kernels::conv2d(x, w1, b1, 1, 1, 0, 0, mid);
-    kernels::relu(mid, act);
-    kernels::conv2d(act, w2, b2, 1, 1, 0, 0, out);
-  });
-  std::vector<float> packed(static_cast<std::size_t>(kernels::fused_prepack_floats(w1, w2, side, side)));
-  kernels::fused_prepack(w1, w2, packed.data());
-  bench_case("sandwich", shape, "fused", flops, unfused_ns, [&] {
-    kernels::fused_conv_act_conv(x, w1, b1, w2, b2, temco::ir::ActKind::kRelu, false,
-                                 temco::ir::PoolKind::kMax, 0, 0, out, nullptr, 0, 0,
-                                 packed.data());
-  });
+  temco::ThreadPool serial(1);
+  temco::ScopedIntraOpPool scope(&serial);
+  const SandwichCase cases[] = {
+      {1, 8, 64, 8, 32},
+      {4, 1, 8, 32, 1},
+      {4, 1, 8, 32, 3},
+      {4, 1, 8, 32, 7},
+      {4, 2, 16, 32, 16, 3},
+  };
+  for (const SandwichCase& c : cases) {
+    const bool has_pool = c.pool_k > 0;
+    const std::int64_t side_out = has_pool ? (c.side - c.pool_k) / 2 + 1 : c.side;
+    const Tensor x = random(Shape{c.n, c.c2, c.side, c.side}, 9);
+    const Tensor w1 = random(Shape{c.cp, c.c2, 1, 1}, 10);
+    const Tensor b1 = random(Shape{c.cp}, 11);
+    const Tensor w2 = random(Shape{c.c3, c.cp, 1, 1}, 12);
+    const Tensor b2 = random(Shape{c.c3}, 13);
+    Tensor mid = Tensor::zeros(Shape{c.n, c.cp, c.side, c.side});
+    Tensor act = Tensor::zeros(mid.shape());
+    Tensor pooled = Tensor::zeros(Shape{c.n, c.cp, side_out, side_out});
+    Tensor out = Tensor::zeros(Shape{c.n, c.c3, side_out, side_out});
+    const double flops =
+        2.0 * static_cast<double>(c.n * (c.side * c.side * c.cp * c.c2 +
+                                         side_out * side_out * c.c3 * c.cp));
+    char shape[64];
+    int len = std::snprintf(shape, sizeof(shape), "%lld>%lld>%lld@%lldx%lld",
+                            static_cast<long long>(c.c2), static_cast<long long>(c.cp),
+                            static_cast<long long>(c.c3), static_cast<long long>(c.side),
+                            static_cast<long long>(c.side));
+    if (c.n > 1) {
+      len += std::snprintf(shape + len, sizeof(shape) - static_cast<std::size_t>(len), "/b%lld",
+                           static_cast<long long>(c.n));
+    }
+    if (has_pool) {
+      std::snprintf(shape + len, sizeof(shape) - static_cast<std::size_t>(len), "/p%llds2",
+                    static_cast<long long>(c.pool_k));
+    }
+    const double unfused_ns = bench_case("sandwich", shape, "unfused", flops, 0.0, [&] {
+      kernels::conv2d(x, w1, b1, 1, 1, 0, 0, mid);
+      kernels::relu(mid, act);
+      if (has_pool) {
+        kernels::pool(act, temco::ir::PoolKind::kMax, c.pool_k, c.pool_k, 2, 2, pooled);
+      }
+      kernels::conv2d(has_pool ? pooled : act, w2, b2, 1, 1, 0, 0, out);
+    });
+    std::vector<float> packed(static_cast<std::size_t>(kernels::fused_prepack_floats(w1, w2)));
+    kernels::fused_prepack(w1, w2, packed.data());
+    bench_case("sandwich", shape, "fused", flops, unfused_ns, [&] {
+      kernels::fused_conv_act_conv(x, w1, b1, w2, b2, temco::ir::ActKind::kRelu, has_pool,
+                                   temco::ir::PoolKind::kMax, c.pool_k, 2, out, nullptr, 0, 0,
+                                   packed.data());
+    });
+  }
   std::printf("\n");
 }
 

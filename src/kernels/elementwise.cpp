@@ -9,23 +9,33 @@
 
 namespace temco::kernels {
 
-void relu(const Tensor& x, Tensor& out) {
+void activate(ir::ActKind act, const float* x, float* out, std::int64_t n) {
+  if (act == ir::ActKind::kRelu) {
+    // Forced vectorization turns the ternary into a compare-and-mask (or a
+    // max with zero as the second operand): no per-element branch, and the
+    // same values as the scalar ternary, -0.0 and NaN included.
+#pragma omp simd
+    for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) out[i] = x[i] / (1.0f + std::exp(-x[i]));
+}
+
+namespace {
+
+void activate_tensor(ir::ActKind act, const Tensor& x, Tensor& out) {
   const float* px = x.data();
   float* po = out.data();
   parallel_for_ranges(static_cast<std::size_t>(x.numel()), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) po[i] = px[i] > 0.0f ? px[i] : 0.0f;
+    activate(act, px + begin, po + begin, static_cast<std::int64_t>(end - begin));
   });
 }
 
-void silu(const Tensor& x, Tensor& out) {
-  const float* px = x.data();
-  float* po = out.data();
-  parallel_for_ranges(static_cast<std::size_t>(x.numel()), [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      po[i] = px[i] / (1.0f + std::exp(-px[i]));
-    }
-  });
-}
+}  // namespace
+
+void relu(const Tensor& x, Tensor& out) { activate_tensor(ir::ActKind::kRelu, x, out); }
+
+void silu(const Tensor& x, Tensor& out) { activate_tensor(ir::ActKind::kSilu, x, out); }
 
 void pool(const Tensor& x, ir::PoolKind kind, std::int64_t kh, std::int64_t kw, std::int64_t sh,
           std::int64_t sw, Tensor& out) {
@@ -113,10 +123,14 @@ void add_n(const std::vector<const Tensor*>& xs, Tensor& out) {
   const std::int64_t n = out.numel();
   float* po = out.data();
   parallel_for_ranges(static_cast<std::size_t>(n), [&](std::size_t begin, std::size_t end) {
+    // Each element is summed in input order, so the vector loops below give
+    // the same bits as scalar code.
     const float* first = xs[0]->data();
+#pragma omp simd
     for (std::size_t i = begin; i < end; ++i) po[i] = first[i];
     for (std::size_t t = 1; t < xs.size(); ++t) {
       const float* px = xs[t]->data();
+#pragma omp simd
       for (std::size_t i = begin; i < end; ++i) po[i] += px[i];
     }
   });

@@ -7,13 +7,14 @@
 //   pooled row    : C′ × Wout floats (only when pooling is fused)
 // The full C′ × H × W intermediate never exists, which is exactly the memory
 // saving activation-layer fusion claims.  Both 1×1 inner products (lconv and
-// fconv) run on the GEMM micro-kernel engine in serial mode: per output
-// element the accumulation order is fixed by geometry, so the fused kernel
-// matches the unfused sequence bit-for-bit up to float non-associativity of
-// the *same* order — tests compare with a small tolerance — and the two
-// scratch modes below stay bitwise-identical.
+// fconv) run on the packed GEMM micro-kernels in serial mode at every row
+// width — the vector tiers' masked tails cover rows narrower than a register
+// tile.  Each output element therefore gets the same accumulation chain as
+// in the unfused conv2d → act → [pool] → conv2d sequence: on a vector tier
+// the two are bitwise-equal, and on the scalar tier they differ only by
+// where the skinny and full tiles add the bias.  The two scratch modes below
+// stay bitwise-identical.
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <vector>
 
@@ -24,18 +25,6 @@
 
 namespace temco::kernels {
 
-namespace {
-
-inline float apply_act(float v, ir::ActKind act) {
-  switch (act) {
-    case ir::ActKind::kRelu: return v > 0.0f ? v : 0.0f;
-    case ir::ActKind::kSilu: return v / (1.0f + std::exp(-v));
-  }
-  return v;
-}
-
-}  // namespace
-
 std::int64_t fused_scratch_bytes(std::int64_t restored_channels, std::int64_t width,
                                  bool has_pool, std::int64_t out_width) {
   std::int64_t floats = restored_channels * width;
@@ -43,11 +32,7 @@ std::int64_t fused_scratch_bytes(std::int64_t restored_channels, std::int64_t wi
   return floats * static_cast<std::int64_t>(sizeof(float));
 }
 
-std::int64_t fused_prepack_floats(const Tensor& w1, const Tensor& w2, std::int64_t w_in,
-                                  std::int64_t w_out) {
-  // Tiles narrower than one register tile run the inline broadcast loops in
-  // fused_conv_act_conv and never touch the packed panels.
-  if (w_in < gemm::kNR && w_out < gemm::kNR) return 0;
+std::int64_t fused_prepack_floats(const Tensor& w1, const Tensor& w2) {
   return gemm::packed_a_floats(w1.shape()[0], w1.shape()[1]) +
          gemm::packed_a_floats(w2.shape()[0], w2.shape()[1]);
 }
@@ -77,25 +62,15 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
   TEMCO_CHECK(w1.shape()[1] == c_reduced && w2.shape()[1] == c_restored)
       << "fused kernel weight shapes inconsistent";
 
-  // Rows narrower than one register tile take inline broadcast loops below:
-  // at that size the GEMM call setup costs more than the arithmetic, and
-  // dense-block stages hit thousands of such rows per inference.  Dispatch
-  // depends only on geometry, so determinism across thread counts holds.
-  const bool lconv_gemm = w_in >= gemm::kNR;
-  const bool fconv_gemm = w_out >= gemm::kNR;
-
   std::vector<float> local;
-  if (prepacked == nullptr && (lconv_gemm || fconv_gemm)) {
-    local.resize(static_cast<std::size_t>(fused_prepack_floats(w1, w2, w_in, w_out)));
+  if (prepacked == nullptr) {
+    local.resize(static_cast<std::size_t>(fused_prepack_floats(w1, w2)));
     fused_prepack(w1, w2, local.data());
     prepacked = local.data();
   }
   const float* pw1p = prepacked;
-  const float* pw2p =
-      prepacked == nullptr ? nullptr : prepacked + gemm::packed_a_floats(c_restored, c_reduced);
+  const float* pw2p = prepacked + gemm::packed_a_floats(c_restored, c_reduced);
 
-  const float* pw1 = w1.data();
-  const float* pw2 = w2.data();
   const float* px = x.data();
   const float* pb1 = b1.data();
   const float* pb2 = b2.data();
@@ -137,26 +112,10 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
             // --- lconv: restore one spatial row to C′ channels -------------
             // C[cp, iw] = b1[cp] + Σ_c2 w1[cp,c2] · x[c2, ih, iw]; B is the
             // input's row ih across channels (row stride h_in·w_in).
-            if (lconv_gemm) {
-              gemm::gemm_packed(pw1p, c_restored, c_reduced, xbase + ih * w_in, h_in * w_in, w_in,
-                                row_target, w_in, lconv_options);
-            } else {
-              const float* xrow0 = xbase + ih * w_in;
-              for (std::int64_t cp = 0; cp < c_restored; ++cp) {
-                float* row = row_target + cp * w_in;
-                const float* wrow = pw1 + cp * c_reduced;
-                for (std::int64_t i = 0; i < w_in; ++i) row[i] = pb1[cp];
-                for (std::int64_t c2 = 0; c2 < c_reduced; ++c2) {
-                  const float av = wrow[c2];
-                  const float* xr = xrow0 + c2 * h_in * w_in;
-                  for (std::int64_t i = 0; i < w_in; ++i) row[i] += av * xr[i];
-                }
-              }
-            }
+            gemm::gemm_packed(pw1p, c_restored, c_reduced, xbase + ih * w_in, h_in * w_in, w_in,
+                              row_target, w_in, lconv_options);
             // --- activation -------------------------------------------------
-            for (std::int64_t i = 0; i < c_restored * w_in; ++i) {
-              row_target[i] = apply_act(row_target[i], act);
-            }
+            activate(act, row_target, row_target, restored_floats);
             // --- pooling (horizontal within the row, vertical across rows) --
             if (has_pool) {
               for (std::int64_t cp = 0; cp < c_restored; ++cp) {
@@ -191,23 +150,9 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
           // --- fconv: reduce the (pooled) restored row to C3 channels -------
           // C[c3, ow] = b2[c3] + Σ_cp w2[c3,cp] · fconv_in[cp, ow], written
           // straight into output row oh of every map (row stride h_out·w_out).
-          if (fconv_gemm) {
-            gemm::gemm_packed(pw2p, c_out, c_restored, fconv_in, w_out, w_out,
-                              po + n * c_out * h_out * w_out + oh * w_out, h_out * w_out,
-                              fconv_options);
-          } else {
-            float* obase = po + n * c_out * h_out * w_out + oh * w_out;
-            for (std::int64_t c3 = 0; c3 < c_out; ++c3) {
-              float* orow = obase + c3 * h_out * w_out;
-              const float* wrow = pw2 + c3 * c_restored;
-              for (std::int64_t i = 0; i < w_out; ++i) orow[i] = pb2[c3];
-              for (std::int64_t cp = 0; cp < c_restored; ++cp) {
-                const float av = wrow[cp];
-                const float* in = fconv_in + cp * w_out;
-                for (std::int64_t i = 0; i < w_out; ++i) orow[i] += av * in[i];
-              }
-            }
-          }
+          gemm::gemm_packed(pw2p, c_out, c_restored, fconv_in, w_out, w_out,
+                            po + n * c_out * h_out * w_out + oh * w_out, h_out * w_out,
+                            fconv_options);
         }
   };
 

@@ -48,6 +48,12 @@ void depthwise_conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::in
 void relu(const Tensor& x, Tensor& out);
 void silu(const Tensor& x, Tensor& out);
 
+/// Applies `act` to n contiguous floats; x may equal out.  relu, silu and the
+/// fused kernel's epilogue all run this one loop, so they agree bit for bit.
+/// ReLU is branch-free and keeps `v > 0 ? v : 0` exactly: -0.0 and NaN map
+/// to +0.0.
+void activate(ir::ActKind act, const float* x, float* out, std::int64_t n);
+
 /// Max/avg pooling without padding.
 void pool(const Tensor& x, ir::PoolKind kind, std::int64_t kh, std::int64_t kw, std::int64_t sh,
           std::int64_t sw, Tensor& out);
@@ -85,6 +91,10 @@ void softmax(const Tensor& x, Tensor& out);
 /// `scratch_slot_floats` floats, and the kernel runs without touching the
 /// heap; the two modes produce bitwise-identical outputs.
 ///
+/// Both 1×1 products run on the packed GEMM micro-kernels for every row
+/// width, so on a vector ISA tier the output is bitwise-equal to the unfused
+/// conv2d → relu/silu → [pool] → conv2d sequence.
+///
 /// `prepacked`, when non-null, holds both weights packed by fused_prepack
 /// (w1 panels followed by w2 panels); null packs locally.
 void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, const Tensor& w2,
@@ -94,10 +104,9 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
                          std::size_t scratch_slots = 0, const float* prepacked = nullptr);
 
 /// Floats of prepack storage the fused kernel wants for its two weights.
-std::int64_t fused_prepack_floats(const Tensor& w1, const Tensor& w2, std::int64_t w_in,
-                                  std::int64_t w_out);
+std::int64_t fused_prepack_floats(const Tensor& w1, const Tensor& w2);
 
-/// Packs w1 then w2 into `out` (fused_prepack_floats(w1, w2, ...) floats).
+/// Packs w1 then w2 into `out` (fused_prepack_floats(w1, w2) floats).
 void fused_prepack(const Tensor& w1, const Tensor& w2, float* out);
 
 /// Scratch bytes the fused kernel needs per worker thread (reported to the

@@ -191,6 +191,11 @@ void ThreadPool::run(std::size_t num_tasks, const std::function<void(std::size_t
 
 bool ThreadPool::in_task() { return tl_task_depth > 0; }
 
+std::uint64_t ThreadPool::forked_batches() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return epoch_;
+}
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;

@@ -72,6 +72,11 @@ class ThreadPool {
   /// `run` checks this to execute nested batches inline.
   static bool in_task();
 
+  /// Batches this pool has handed to its workers.  Batches `run` executes
+  /// inline (no workers, one task, nested or contended calls) do not count,
+  /// so a test can tell a fork from serial execution.
+  std::uint64_t forked_batches() const;
+
  private:
   struct Batch;
 
@@ -80,7 +85,7 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::mutex owner_mutex_;  // held by the thread whose batch owns the workers
-  std::mutex mutex_;
+  mutable std::mutex mutex_;
   std::condition_variable wake_;
   std::condition_variable done_;
   Batch* current_ = nullptr;          // guarded by mutex_

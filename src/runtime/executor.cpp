@@ -105,15 +105,13 @@ void run_node(const ir::Node& node, const std::vector<const Tensor*>& in, Tensor
 
 }  // namespace
 
-std::int64_t PackedWeights::node_floats(const ir::Graph& graph, const ir::Node& node) {
+std::int64_t PackedWeights::node_floats(const ir::Node& node) {
   if (node.kind == ir::OpKind::kConv2d) {
     return kernels::conv2d_prepack_floats(node.weights[0], node.attrs.stride_h,
                                           node.attrs.stride_w, node.out_shape[3]);
   }
   if (node.kind == ir::OpKind::kFusedConvActConv) {
-    return kernels::fused_prepack_floats(node.weights[0], node.weights[2],
-                                         graph.node(node.inputs[0]).out_shape[3],
-                                         node.out_shape[3]);
+    return kernels::fused_prepack_floats(node.weights[0], node.weights[2]);
   }
   return 0;
 }
@@ -122,7 +120,7 @@ PackedWeights PackedWeights::build(const ir::Graph& graph) {
   PackedWeights packed;
   packed.blobs.resize(graph.size());
   for (const ir::Node& node : graph.nodes()) {
-    const std::int64_t floats = node_floats(graph, node);
+    const std::int64_t floats = node_floats(node);
     if (floats == 0) continue;
     auto& blob = packed.blobs[static_cast<std::size_t>(node.id)];
     blob.resize(static_cast<std::size_t>(floats));

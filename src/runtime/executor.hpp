@@ -76,7 +76,7 @@ struct PackedWeights {
   /// kernels read weights in place).  The artifact loader re-derives every
   /// blob's expected size through this — a stored length is never trusted,
   /// only compared.
-  static std::int64_t node_floats(const ir::Graph& graph, const ir::Node& node);
+  static std::int64_t node_floats(const ir::Node& node);
 
   /// Nodes covered (== graph size in either storage mode).
   std::size_t size() const { return views.empty() ? blobs.size() : views.size(); }

@@ -286,7 +286,7 @@ void write_packed(Writer& index_out, Writer& weights_out, const CompiledModel& m
         data == nullptr
             ? 0
             : static_cast<std::size_t>(runtime::PackedWeights::node_floats(
-                  graph, graph.node(static_cast<ir::ValueId>(i))));
+                  graph.node(static_cast<ir::ValueId>(i))));
     PackedIndexEntry entry;
     entry.floats = floats;
     if (floats > 0) {
@@ -317,7 +317,7 @@ std::vector<PackedIndexEntry> read_packed_index(Reader& in, const ir::Graph& gra
     entry.floats = in.pod<std::uint64_t>();
     entry.offset = in.pod<std::uint64_t>();
     const std::int64_t expected =
-        runtime::PackedWeights::node_floats(graph, graph.node(static_cast<ir::ValueId>(i)));
+        runtime::PackedWeights::node_floats(graph.node(static_cast<ir::ValueId>(i)));
     TEMCO_CHECK_AS(entry.floats == static_cast<std::uint64_t>(expected), InvalidGraphError)
         << "node " << i << " stores " << entry.floats << " packed floats, this runtime's "
         << "packer produces " << expected;

@@ -124,8 +124,8 @@ void expect_packed_equal(const CompiledModel& a, const CompiledModel& b,
     const float* blob_b = pb.blob(static_cast<ir::ValueId>(i));
     ASSERT_EQ(blob_a == nullptr, blob_b == nullptr) << label << " node " << i;
     if (blob_a == nullptr) continue;
-    const std::int64_t floats = runtime::PackedWeights::node_floats(
-        graph, graph.node(static_cast<ir::ValueId>(i)));
+    const std::int64_t floats =
+        runtime::PackedWeights::node_floats(graph.node(static_cast<ir::ValueId>(i)));
     EXPECT_EQ(0, std::memcmp(blob_a, blob_b, static_cast<std::size_t>(floats) * sizeof(float)))
         << label << " node " << i;
   }

@@ -2,9 +2,18 @@
 //
 // This is the paper's central semantics-preservation claim for §3.2: the
 // fused kernel must produce the same values as running lconv, activation,
-// (pool,) fconv through separate full-width tensors.
+// (pool,) fconv through separate full-width tensors.  On a vector ISA tier
+// both paths give every output element the same accumulation chain, so they
+// must agree byte for byte; the scalar tier adds the bias at different points
+// in its skinny and full tiles and is held to a tolerance.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
+
+#include "kernels/gemm.hpp"
 #include "kernels/kernels.hpp"
 #include "support/rng.hpp"
 #include "tensor/compare.hpp"
@@ -48,6 +57,11 @@ Tensor unfused_reference(const Tensor& x, const Tensor& w1, const Tensor& b1, co
 
 class FusedKernelTest : public ::testing::TestWithParam<FusedCase> {};
 
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.bytes())) == 0;
+}
+
 TEST_P(FusedKernelTest, MatchesUnfusedSequence) {
   const FusedCase p = GetParam();
   Rng rng(31 + p.c_reduced + p.c_restored * 3 + (p.has_pool ? 1 : 0));
@@ -57,12 +71,21 @@ TEST_P(FusedKernelTest, MatchesUnfusedSequence) {
   const Tensor w2 = Tensor::random_normal(Shape{p.c_out, p.c_restored, 1, 1}, rng, 0.4f);
   const Tensor b2 = Tensor::random_uniform(Shape{p.c_out}, rng, -0.3f, 0.3f);
 
-  const Tensor expected = unfused_reference(x, w1, b1, w2, b2, p);
-  Tensor got = Tensor::zeros(expected.shape());
-  kernels::fused_conv_act_conv(x, w1, b1, w2, b2, p.act, p.has_pool, p.pool_kind, p.pool_k,
-                               p.pool_s, got);
-  EXPECT_LT(max_abs_diff(got, expected), 5e-4f)
-      << "fused kernel diverged from unfused sequence";
+  for (const kernels::gemm::Isa isa : kernels::gemm::reachable_isas()) {
+    kernels::gemm::ScopedIsa forced(isa);
+    const Tensor expected = unfused_reference(x, w1, b1, w2, b2, p);
+    Tensor got = Tensor::zeros(expected.shape());
+    kernels::fused_conv_act_conv(x, w1, b1, w2, b2, p.act, p.has_pool, p.pool_kind, p.pool_k,
+                                 p.pool_s, got);
+    if (isa == support::Isa::kAvx2 || isa == support::Isa::kAvx512) {
+      EXPECT_TRUE(same_bytes(got, expected))
+          << support::isa_name(isa) << ": fused kernel differs from the unfused sequence by up to "
+          << max_abs_diff(got, expected);
+    } else {
+      EXPECT_LT(max_abs_diff(got, expected), 5e-4f)
+          << support::isa_name(isa) << ": fused kernel diverged from the unfused sequence";
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,6 +131,59 @@ INSTANTIATE_TEST_SUITE_P(
         FusedCase{2, 3, 1, 5, 12, 4, ir::ActKind::kRelu, true, ir::PoolKind::kMax, 2, 2},
         FusedCase{1, 2, 3, 1, 8, 3, ir::ActKind::kSilu, true, ir::PoolKind::kAvg, 2, 2},
         FusedCase{2, 4, 1, 1, 16, 5, ir::ActKind::kRelu, true, ir::PoolKind::kAvg, 2, 2}));
+
+// DenseNet-121's restore nodes at width 0.25, image 32, batch 4: the 1×1, 3×3
+// and 7×7 dense-block rows, all narrower than one register tile, and the
+// pooled stem node (16×16 max-pooled k3 s2 to 7×7).
+INSTANTIATE_TEST_SUITE_P(
+    DenseNet121, FusedKernelTest,
+    ::testing::Values(
+        FusedCase{4, 1, 1, 1, 8, 32, ir::ActKind::kRelu, false, ir::PoolKind::kMax, 2, 2},
+        FusedCase{4, 1, 3, 3, 8, 32, ir::ActKind::kRelu, false, ir::PoolKind::kMax, 2, 2},
+        FusedCase{4, 1, 7, 7, 8, 32, ir::ActKind::kRelu, false, ir::PoolKind::kMax, 2, 2},
+        FusedCase{4, 2, 16, 16, 16, 32, ir::ActKind::kRelu, true, ir::PoolKind::kMax, 3, 2}));
+
+TEST(FusedReluTest, EdgeValuesMatchTheScalarTernaryOnBothPaths) {
+  // Identity lconv/fconv (one channel, weight 1, bias -0.0) carry every input
+  // into the activation and back out unchanged, so the fused epilogue and
+  // kernels::relu can be held to `v > 0 ? v : 0` bit for bit.  A vector max
+  // with swapped operands would keep -0.0 and NaN instead of giving +0.0.
+  // One wide row runs the activation's vector body; one-pixel rows reach it
+  // through the scalar tier's skinny tile, which starts from the bias and so
+  // passes -0.0 through as well.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float denormal = std::numeric_limits<float>::denorm_min() * 3.0f;
+  const std::vector<float> values = {-0.0f, 0.0f,  nan,   -nan,  inf,  -inf,    denormal, -denormal,
+                                     1.5f,  -2.5f, 0.25f, -0.0f, 3.0f, -inf,    nan,      -1e-30f,
+                                     7.0f};
+  const auto count = static_cast<std::int64_t>(values.size());
+  Tensor weight = Tensor::zeros(Shape{1, 1, 1, 1});
+  weight[0] = 1.0f;
+  Tensor bias = Tensor::zeros(Shape{1});
+  bias[0] = -0.0f;
+  for (const Shape& shape : {Shape{1, 1, 1, count}, Shape{1, 1, count, 1}}) {
+    Tensor x = Tensor::zeros(shape);
+    Tensor expected = Tensor::zeros(shape);
+    for (std::int64_t i = 0; i < count; ++i) {
+      x[i] = values[static_cast<std::size_t>(i)];
+      expected[i] = x[i] > 0.0f ? x[i] : 0.0f;
+    }
+    Tensor relu_out = Tensor::zeros(shape);
+    kernels::relu(x, relu_out);
+    EXPECT_TRUE(same_bytes(relu_out, expected)) << "kernels::relu";
+
+    for (const kernels::gemm::Isa isa : kernels::gemm::reachable_isas()) {
+      kernels::gemm::ScopedIsa forced(isa);
+      Tensor fused_out = Tensor::zeros(shape);
+      kernels::fused_conv_act_conv(x, weight, bias, weight, bias, ir::ActKind::kRelu, false,
+                                   ir::PoolKind::kMax, 2, 2, fused_out);
+      EXPECT_TRUE(same_bytes(fused_out, expected))
+          << support::isa_name(isa) << ": fused epilogue, rows of " << shape[3];
+      EXPECT_TRUE(same_bytes(fused_out, relu_out)) << support::isa_name(isa);
+    }
+  }
+}
 
 TEST(FusedScratchModeTest, ExternalScratchMatchesInternalBitwise) {
   // The arena executor passes a preplanned scratch region instead of letting
