@@ -1,5 +1,6 @@
 // Fleet serving: one FleetServer sharing a worker pool across many models
-// versus N independent static-batcher Servers, under a mixed workload.
+// versus a static partition — N one-model fleets, each with its own slice of
+// the workers and no predictive admission — under a mixed workload.
 //
 // Two legs, identical drivers against both stacks:
 //
@@ -13,9 +14,10 @@
 //   overload      open-loop arrivals on the hot tenant at ~1.4x the box's
 //                 measured capacity with a tight latency SLO.  Demand does
 //                 not self-limit, and this is where the stacks diverge: the
-//                 static server's bounded FIFO queue fills to a depth whose
-//                 wait alone blows the deadline, so it spends its cycles
-//                 serving (and delivering) answers that are already late.
+//                 static partition's bounded FIFO queue fills to a depth
+//                 whose wait alone blows the deadline, so it spends its
+//                 cycles serving answers that are already late (the
+//                 strict-SLO rule converts them to DeadlineExceededError).
 //                 The fleet's predictive admission rejects doomed requests
 //                 at submit time with a typed SloUnmeetableError — cycles go
 //                 only to requests that can still make their deadline, and
@@ -50,7 +52,6 @@
 #include "bench/common.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/fleet.hpp"
-#include "serve/server.hpp"
 #include "support/timer.hpp"
 #include "tensor/compare.hpp"
 
@@ -420,24 +421,26 @@ StackResults run_fleet(const FleetBenchConfig& config, const std::vector<ModelPt
 
 StackResults run_static(const FleetBenchConfig& config, const std::vector<ModelPtr>& compiled,
                         const std::vector<Tensor>& inputs, double capacity_rps) {
-  // Same aggregate resources, statically partitioned: the shared workers
-  // split one per model, same sessions, same bounded queue, the model's
-  // full batch ceiling and a fixed coalescing window — a reasonable
-  // hand-tuned single-tenant deployment of the existing Server.
+  // Same aggregate resources, statically partitioned: one single-model fleet
+  // per model with its share of the workers, same sessions, same bounded
+  // queue, no predictive admission, and a 200 us straggler window ceiling —
+  // a reasonable hand-tuned single-tenant deployment per model.
   const std::size_t workers_each = std::max<std::size_t>(kWorkers / config.models.size(), 1);
-  std::vector<std::unique_ptr<serve::Server>> servers;
+  std::vector<std::unique_ptr<serve::FleetServer>> partitions;
   for (std::size_t m = 0; m < config.models.size(); ++m) {
-    serve::ServerOptions options;
+    serve::FleetOptions options;
     options.workers = workers_each;
-    options.sessions = kSessionsPerModel;
-    options.max_batch = compiled[m]->max_batch();
+    options.sessions_per_model = kSessionsPerModel;
     options.queue_capacity = kQueueCapacity;
-    options.batch_timeout = std::chrono::microseconds(200);
-    servers.push_back(std::make_unique<serve::Server>(compiled[m], options));
+    options.max_batch_timeout = std::chrono::microseconds(200);
+    options.slo_admission = false;
+    partitions.push_back(std::make_unique<serve::FleetServer>(options));
+    partitions.back()->install(config.models[m], compiled[m]);
   }
   auto submit = [&](std::size_t m, std::chrono::milliseconds deadline) {
-    return guard_submit(
-        [&] { return servers[m]->submit({inputs[m]}, with_deadline(deadline)); });
+    return guard_submit([&] {
+      return partitions[m]->submit(config.models[m], {inputs[m]}, with_deadline(deadline));
+    });
   };
 
   StackResults results;
@@ -647,7 +650,7 @@ void print_leg(const char* leg, const StackResults& fleet, const StackResults& s
 
 int main(int argc, char** argv) {
   const FleetBenchConfig config = parse_fleet_args(argc, argv);
-  std::printf("=== Fleet serving: shared fair-share pool vs N static servers ===\n");
+  std::printf("=== Fleet serving: shared fair-share pool vs N static one-model fleets ===\n");
   std::printf("(%zu models, width %.3g, image %lld, ratio %.2g; hot %zu reqs x %zu clients, "
               "cold @ %lldms, overload %.1fx for %zums)\n",
               config.models.size(), config.width, static_cast<long long>(config.image),

@@ -4,9 +4,11 @@
 // Four modes, closed-loop clients, same optimized batch-1 graph:
 //   naive          every request builds a fresh Executor (prepack + arena
 //                  planning paid per request) and runs batch 1
-//   pool           Server with max_batch 1 — reuses compiled artifacts and
-//                  pooled arena sessions, no coalescing
-//   pool+batching  Server with the model's full micro-batch ceiling
+//   pool           one-model FleetServer over an artifact compiled at
+//                  max_batch 1 — reuses compiled artifacts and pooled arena
+//                  sessions, no coalescing
+//   pool+batching  one-model FleetServer over an artifact whose micro-batch
+//                  ceiling is the client count
 //   pool+faults    pool+batching with a ~1% transient fault rate injected
 //                  via the serve.exec_transient failpoint: what retry, the
 //                  circuit breaker, and degraded mode cost when the fault
@@ -32,7 +34,7 @@
 
 #include "bench/common.hpp"
 #include "serve/compiled_model.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "support/failpoint.hpp"
 #include "support/timer.hpp"
@@ -189,28 +191,36 @@ ModeResult run_naive(const ir::Graph& optimized_b1, const Tensor& input,
                 transient);
 }
 
+constexpr const char* kModelName = "model";
+
+/// Two lanes, two sessions, a queue that never refuses a closed-loop client,
+/// and self-clocking batching: coalesce whatever is already queued, never
+/// idle waiting for stragglers.  While a batch executes, closed-loop clients
+/// refill the queue, so batches ramp to the compiled ceiling on their own.
+serve::FleetOptions fleet_options(const ServingConfig& config) {
+  serve::FleetOptions options;
+  options.workers = 2;
+  options.sessions_per_model = 2;
+  options.queue_capacity = config.requests + config.clients;
+  options.max_batch_timeout = std::chrono::microseconds(0);
+  return options;
+}
+
+/// `model`'s compiled max_batch is the batching ceiling: 1 disables batching.
 ModeResult run_server(const std::shared_ptr<const serve::CompiledModel>& model,
                       const Tensor& input, const ServingConfig& config,
-                      std::size_t max_batch, const std::string& label) {
-  serve::ServerOptions options;
-  options.workers = 2;
-  options.sessions = 2;
-  options.max_batch = max_batch;
-  options.queue_capacity = config.requests + config.clients;
-  // Self-clocking batching: coalesce whatever is already queued, never idle
-  // waiting for stragglers.  While a batch executes, closed-loop clients
-  // refill the queue, so batches ramp to the ceiling on their own.
-  options.batch_timeout = std::chrono::microseconds(0);
-  serve::Server server(model, options);
+                      const std::string& label) {
+  serve::FleetServer fleet(fleet_options(config));
+  fleet.install(kModelName, model);
 
   Timer wall;
   auto latencies = closed_loop(config.requests, config.clients, [&](std::size_t) {
-    server.submit({input}).get();
+    fleet.submit(kModelName, {input}).get();
   });
   const double elapsed = wall.elapsed_seconds();
-  const auto stats = server.stats();
+  const auto stats = fleet.snapshot().front();
   ModeResult result = finish(label, elapsed, std::move(latencies), config.requests,
-                             server.session_pool().resident_bytes());
+                             static_cast<std::size_t>(stats.arena_resident_bytes));
   result.batches = stats.batches;
   result.max_batch_seen = stats.max_batch_seen;
   return result;
@@ -223,26 +233,21 @@ ModeResult run_server(const std::shared_ptr<const serve::CompiledModel>& model,
 /// earn its way back.  Goodput counts only requests that resolved with a
 /// value.
 ModeResult run_faulted(const std::shared_ptr<const serve::CompiledModel>& model,
-                       const Tensor& input, const ServingConfig& config,
-                       std::size_t max_batch) {
-  serve::ServerOptions options;
-  options.workers = 2;
-  options.sessions = 2;
-  options.max_batch = max_batch;
-  options.queue_capacity = config.requests + config.clients;
-  options.batch_timeout = std::chrono::microseconds(0);
+                       const Tensor& input, const ServingConfig& config) {
+  serve::FleetOptions options = fleet_options(config);
   options.max_retries = 1;
   options.retry_backoff = std::chrono::microseconds(50);
   options.breaker_threshold = 3;
   options.breaker_recovery = 4;
-  serve::Server server(model, options);
+  serve::FleetServer fleet(options);
+  fleet.install(kModelName, model);
 
   std::atomic<std::size_t> succeeded{0};
   Timer wall;
   auto latencies = closed_loop(config.requests, config.clients, [&](std::size_t index) {
     if (index % 100 == 7) failpoints::arm("serve.exec_transient", 1);
     try {
-      server.submit({input}).get();
+      fleet.submit(kModelName, {input}).get();
       succeeded.fetch_add(1, std::memory_order_relaxed);
     } catch (const Error&) {
       // An injected fault that outlived the retry budget; counted below.
@@ -250,9 +255,9 @@ ModeResult run_faulted(const std::shared_ptr<const serve::CompiledModel>& model,
   });
   const double elapsed = wall.elapsed_seconds();
   failpoints::disarm_all();
-  const auto stats = server.stats();
+  const auto stats = fleet.snapshot().front();
   ModeResult result = finish("pool+faults", elapsed, std::move(latencies), config.requests,
-                             server.session_pool().resident_bytes());
+                             static_cast<std::size_t>(stats.arena_resident_bytes));
   result.goodput_per_second = static_cast<double>(succeeded.load()) / elapsed;
   result.batches = stats.batches;
   result.max_batch_seen = stats.max_batch_seen;
@@ -316,11 +321,12 @@ void check_bit_identical(const ir::Graph& optimized_b1,
   runtime::Executor naive(optimized_b1, {.use_arena = true});
   const auto want = naive.run({input}).outputs;
 
-  serve::ServerOptions options;
+  serve::FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  serve::Server server(model, options);
-  const auto got = server.submit({input}).get();
+  options.sessions_per_model = 1;
+  serve::FleetServer fleet(options);
+  fleet.install(kModelName, model);
+  const auto got = fleet.submit(kModelName, {input}).get();
   TEMCO_CHECK(got.size() == want.size()) << "serving output arity diverged";
   for (std::size_t o = 0; o < got.size(); ++o) {
     TEMCO_CHECK(max_abs_diff(got[o], want[o]) == 0.0f)
@@ -409,15 +415,22 @@ int main(int argc, char** argv) {
     const auto original = spec.build(temco::bench::model_config(graph_config, spec));
     const auto decomposed = temco::bench::decomposed_baseline(original, graph_config);
 
+    // Closed-loop clients bound the attainable batch: the batching artifact's
+    // ceiling is the client count (at most 8), so full batches dispatch
+    // immediately instead of waiting for stragglers that cannot exist.  The
+    // pool mode's artifact is compiled at max_batch 1: no coalescing.
     serve::CompileOptions compile_options;
-    compile_options.max_batch = 8;
+    compile_options.max_batch = std::clamp<std::size_t>(config.clients, 1, 8);
     const auto model = serve::CompiledModel::compile(decomposed, compile_options);
-    // The naive baseline runs the *same* optimized batch-1 graph the server
+    compile_options.max_batch = 1;
+    const auto unbatched = serve::CompiledModel::compile(decomposed, compile_options);
+    // The naive baseline runs the *same* optimized batch-1 graph the fleet
     // compiled, so the comparison isolates serving mechanics.
     const ir::Graph& optimized_b1 = model->graph(1);
     const Tensor input = temco::bench::random_input(optimized_b1, 1234);
 
     check_bit_identical(optimized_b1, model, input);
+    check_bit_identical(optimized_b1, unbatched, input);
 
     // Best-of-N repeats per mode: on a shared/throttled host a single pass
     // can eat a multi-millisecond scheduler stall; the best pass is the
@@ -434,16 +447,10 @@ int main(int argc, char** argv) {
     ModelReport report;
     report.model = name;
     report.modes.push_back(best_of([&] { return run_naive(optimized_b1, input, config); }));
+    report.modes.push_back(best_of([&] { return run_server(unbatched, input, config, "pool"); }));
     report.modes.push_back(
-        best_of([&] { return run_server(model, input, config, 1, "pool"); }));
-    // Closed-loop clients bound the attainable batch: cap the coalescing
-    // ceiling at the client count so full batches dispatch immediately
-    // instead of idling out the straggler window every time.
-    const std::size_t batch_ceiling = std::min(model->max_batch(), config.clients);
-    report.modes.push_back(best_of(
-        [&] { return run_server(model, input, config, batch_ceiling, "pool+batching"); }));
-    report.modes.push_back(
-        best_of([&] { return run_faulted(model, input, config, batch_ceiling); }));
+        best_of([&] { return run_server(model, input, config, "pool+batching"); }));
+    report.modes.push_back(best_of([&] { return run_faulted(model, input, config); }));
 
     const double naive_rps = report.modes[0].requests_per_second;
     for (const ModeResult& mode : report.modes) {

@@ -4,7 +4,7 @@
 // upstream, then optimize (skip-opt, transforms, fusion, DCE), stamp one
 // execution variant per batch size, plan a static arena for each, and pack
 // GEMM weights — and freezes the result as an immutable artifact.  Serving
-// sessions (session.hpp) and the request server (server.hpp) share one
+// sessions (session.hpp) and the fleet server (fleet.hpp) share one
 // artifact read-only across any number of threads: nothing in it is ever
 // mutated after compile() returns, which is the whole thread-safety story.
 //

@@ -24,6 +24,11 @@ constexpr std::size_t kControlPeriod = 4;
 constexpr double kArrivalAlpha = 0.1;
 constexpr double kBatchAlpha = 0.3;
 
+std::exception_ptr hang_error() {
+  return std::make_exception_ptr(DeadlineExceededError(
+      "batch exceeded the fleet hang budget; failed fast by the watchdog"));
+}
+
 }  // namespace
 
 FleetServer::FleetServer(FleetOptions options) : options_(options) {
@@ -41,10 +46,19 @@ FleetServer::FleetServer(FleetOptions options) : options_(options) {
       << "breaker_recovery must be at least 1 when the breaker is enabled";
   TEMCO_CHECK_AS(options_.default_slo.weight > 0.0, InvalidGraphError)
       << "fair-share weight must be positive";
+  TEMCO_CHECK_AS(options_.default_slo.target_p99.count() >= 0, InvalidGraphError)
+      << "p99 target must be non-negative";
+  TEMCO_CHECK_AS(options_.hang_budget.count() >= 0, InvalidGraphError)
+      << "hang_budget must be non-negative";
 
   worker_pool_ = std::make_unique<ThreadPool>(options_.workers);
-  // Same idiom as Server: the dispatcher is the worker pool's participating
-  // caller, blocking in run() for the fleet's whole life.
+  if (options_.hang_budget.count() > 0) {
+    watchdog_ = std::thread([this] { watchdog_loop(); });
+  }
+  // Workers run as long-lived tasks on a dedicated pool (their kernels then
+  // execute inline within the task, by the nested-run rule); the dispatcher
+  // is the pool's participating caller, blocking in run() for the fleet's
+  // whole life.
   dispatcher_ = std::thread([this] {
     try {
       worker_pool_->run(options_.workers, [this](std::size_t) { worker_loop(); });
@@ -96,6 +110,8 @@ void FleetServer::install_impl(const std::string& name,
     if (!slo.has_value() && it != live_.end()) resolved = it->second->slo;
   }
   TEMCO_CHECK_AS(resolved.weight > 0.0, InvalidGraphError) << "fair-share weight must be positive";
+  TEMCO_CHECK_AS(resolved.target_p99.count() >= 0, InvalidGraphError)
+      << "p99 target must be non-negative";
 
   // Pool construction (slabs, executors) happens before the fleet lock is
   // taken, so a heavyweight deploy never stalls scheduling or other names.
@@ -496,7 +512,7 @@ void FleetServer::adapt_locked(Model& model) {
   }
 }
 
-// ---- execution (ported from Server::execute_batch, per-model state) ---------
+// ---- resolution, retry backoff, circuit breaker -----------------------------
 
 bool FleetServer::resolve_value(Model& model, Request& request, std::vector<Tensor> value) {
   if (!request.claim()) return false;
@@ -605,6 +621,58 @@ void FleetServer::breaker_success(Model& model) {
   }
 }
 
+// ---- watchdog ---------------------------------------------------------------
+
+void FleetServer::watch_begin(Watch& watch) {
+  if (options_.hang_budget.count() == 0) return;
+  std::lock_guard<std::mutex> lock(watch_mutex_);
+  // Stamped under the lock, so watched_ stays in start order and its front
+  // is always the next batch to come due.
+  watch.started = std::chrono::steady_clock::now();
+  watch.slot = watched_.insert(watched_.end(), &watch);
+  // An idle watchdog sleeps without a deadline; wake it for the new front.
+  if (watched_.size() == 1) watch_cv_.notify_one();
+}
+
+bool FleetServer::watch_end(Watch& watch) {
+  if (options_.hang_budget.count() == 0) return false;
+  std::lock_guard<std::mutex> lock(watch_mutex_);
+  if (!watch.flagged) watched_.erase(watch.slot);
+  return watch.flagged;
+}
+
+void FleetServer::watchdog_loop() {
+  std::unique_lock<std::mutex> lock(watch_mutex_);
+  for (;;) {
+    watch_cv_.wait(lock, [this] { return watchdog_stop_ || !watched_.empty(); });
+    if (watchdog_stop_) return;
+    Watch& watch = *watched_.front();
+    const auto due = watch.started + options_.hang_budget;
+    if (std::chrono::steady_clock::now() < due) {
+      // Re-examine the front on any wake: it may have finished meanwhile.
+      watch_cv_.wait_until(lock, due);
+      continue;
+    }
+    // Fail fast: clients get their answer now; the stuck run is cancelled
+    // via the session token and unwinds at its next poll point.  The worker
+    // finds the flag at watch_end, records the breaker failure, and
+    // discards any late result.
+    watched_.pop_front();
+    watch.flagged = true;
+    Model& model = *watch.model;
+    model.metrics->hung_batches.fetch_add(1, std::memory_order_relaxed);
+    watch.token->cancel();
+    const auto error = hang_error();
+    for (const RequestPtr& request : *watch.batch) {
+      resolve_error(model, *request, error, model.metrics->hung_requests);
+    }
+    TEMCO_WARN() << "watchdog flagged a batch of " << watch.batch->size() << " requests for '"
+                 << model.name << "' over the hang budget";
+  }
+}
+
+// ---- execution --------------------------------------------------------------
+
 void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
                                 std::vector<RequestPtr>& batch, bool degraded,
                                 BatchOutcome& outcome) {
@@ -637,6 +705,11 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
     auto deadline = std::chrono::steady_clock::time_point::max();
     for (const RequestPtr& request : batch) deadline = std::min(deadline, request->deadline);
     if (deadline != std::chrono::steady_clock::time_point::max()) token.set_deadline(deadline);
+    Watch watch;
+    watch.model = &model;
+    watch.token = &token;
+    watch.batch = &batch;
+    watch_begin(watch);
 
     try {
       std::vector<const std::vector<Tensor>*> requests;
@@ -646,8 +719,16 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
       std::vector<std::vector<Tensor>> responses =
           lease->run_batch(requests, degraded ? RunMode::kDegraded : RunMode::kNormal);
       const double exec_s = seconds_between(started, std::chrono::steady_clock::now());
+      const bool hung = watch_end(watch);
       token.reset();
       lease.release();  // free the session before the (cheap) promise fanout
+      if (hung) {
+        // Finished after the watchdog already failed these futures: clients
+        // were told the batch hung, so the late result is discarded.
+        breaker_failure(model);
+        fail_batch(model, batch, hang_error(), met.hung_requests);
+        return;
+      }
 
       met.record_batch(batch.size(), exec_s);
       outcome.exec_seconds = exec_s;
@@ -669,6 +750,7 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
       }
       return;
     } catch (...) {
+      const bool hung = watch_end(watch);
       token.reset();
       const std::exception_ptr error = std::current_exception();
       const FaultClass fault = classify_fault(error);
@@ -681,6 +763,14 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
         met.arena_resident_bytes.store(model.pool->resident_bytes(), std::memory_order_relaxed);
       } else {
         lease.release();
+      }
+
+      if (hung) {
+        // The watchdog already resolved these futures; its cancel is usually
+        // what unwound the run.  Only the lane's bookkeeping is left.
+        breaker_failure(model);
+        fail_batch(model, batch, hang_error(), met.hung_requests);
+        return;
       }
 
       switch (fault) {
@@ -753,6 +843,16 @@ void FleetServer::shutdown(bool drain) {
   }
   if (dispatcher_.joinable()) dispatcher_.join();
   worker_pool_->shutdown();
+  // Only now: a wedged batch needs the watchdog to unwind before the
+  // workers can join.
+  if (watchdog_.joinable()) {
+    {
+      std::lock_guard<std::mutex> lock(watch_mutex_);
+      watchdog_stop_ = true;
+    }
+    watch_cv_.notify_all();
+    watchdog_.join();
+  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     joined_ = true;
@@ -777,6 +877,14 @@ std::shared_ptr<const CompiledModel> FleetServer::model(const std::string& name)
   TEMCO_CHECK_AS(it != live_.end(), InvalidGraphError)
       << "no model installed under '" << name << "'";
   return it->second->compiled;
+}
+
+SessionPool& FleetServer::session_pool(const std::string& name) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = live_.find(name);
+  TEMCO_CHECK_AS(it != live_.end(), InvalidGraphError)
+      << "no model installed under '" << name << "'";
+  return *it->second->pool;
 }
 
 std::vector<metrics::ModelSnapshot> FleetServer::snapshot() const {

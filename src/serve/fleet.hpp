@@ -1,12 +1,13 @@
 // Fleet server: many compiled models behind one shared worker pool, with
 // weighted fair-share scheduling, SLO-aware admission, and per-model
-// adaptive micro-batching.
+// adaptive micro-batching.  It is the one serving front end: a single-model
+// deployment is a fleet with one model installed.
 //
-// Why a fleet instead of N independent Servers: TeMCO's compressed slabs
-// make model *residency* cheap, but N static servers still partition the
-// CPU — each model owns worker threads that idle when its traffic lulls
-// while another model's queue backs up.  The fleet pools the workers and
-// lets instantaneous demand, not a static partition, decide where they go.
+// Why one shared pool: TeMCO's compressed slabs make model *residency*
+// cheap, but a static per-model partition of worker threads still strands
+// CPU — each model's workers idle when its traffic lulls while another
+// model's queue backs up.  The fleet pools the workers and lets
+// instantaneous demand, not a static partition, decide where they go.
 //
 // Scheduling (weighted fair share): an idle worker scores every model with
 // a non-empty queue as  weight x age(oldest queued request)  and serves the
@@ -15,7 +16,9 @@
 // another has headroom; weight sets the *ratio* at which two backlogged
 // models are served, not an absolute priority.  Models whose sessions are
 // all busy are skipped, never waited on — a slow model cannot capture
-// workers beyond its own session count (head-of-line isolation).
+// workers beyond its own session count (head-of-line isolation).  A request
+// is claimed (in_flight) only once a worker holds a session for its model;
+// until then it is queued (queue_depth).
 //
 // Adaptive micro-batching: each model's batch ceiling and straggler timeout
 // are tuned online, per control period, from three observed signals —
@@ -45,11 +48,23 @@
 // answer late (metrics count such conversions as value_past_deadline; the
 // bench asserts the count stays 0 when admission is doing its job).
 //
-// Fault tolerance is the Server's machinery, per model: transient faults
-// retry with jittered exponential backoff, corrupting faults quarantine the
-// session, a per-model circuit breaker degrades that model (and only that
-// model) to singleton batches on the hardened executor.  Fault classes come
-// from serve/fault.hpp, shared with Server, so the two paths cannot drift.
+// Fault tolerance, per model: transient faults retry with jittered
+// exponential backoff, corrupting faults quarantine the session, a per-model
+// circuit breaker degrades that model (and only that model) to singleton
+// batches on the hardened executor.  Fault classes come from
+// serve/fault.hpp.
+//
+// Watchdog: with a nonzero hang_budget, one thread per fleet sleeps until
+// the earliest executing batch reaches start + hang_budget.  A batch over
+// budget has its session token cancelled (the run unwinds at its next poll
+// point), its futures fail with DeadlineExceededError now, and a breaker
+// failure is recorded when it unwinds; a late result is discarded.  The
+// batch keeps counting against in_flight until its run unwinds — its lane
+// really is still busy.
+//
+// Every accepted request resolves exactly once, to a value or a typed
+// temco::Error — enforced by an atomic per-request claim, so shutdown racing
+// the watchdog racing a worker can never double-resolve.
 //
 // Hot swap: install() over a live name (or swap(), which insists on one)
 // builds the replacement pool outside the fleet lock, then atomically
@@ -83,16 +98,28 @@
 
 #include "parallel/thread_pool.hpp"
 #include "serve/metrics.hpp"
-#include "serve/server.hpp"
 #include "serve/session.hpp"
+#include "support/cancel.hpp"
 
 namespace temco::serve {
+
+/// Per-request submit-time options.
+struct SubmitOptions {
+  /// Absolute completion deadline; time_point::max() (default) means none.
+  /// An already-expired deadline is rejected at admission.
+  std::chrono::steady_clock::time_point deadline = std::chrono::steady_clock::time_point::max();
+
+  /// Convenience: nonzero sets `deadline = now + timeout` at submit time
+  /// (the earlier of the two wins if both are given).
+  std::chrono::microseconds timeout{0};
+};
 
 struct FleetOptions {
   /// Latency SLO and scheduling weight for one model.
   struct ModelSlo {
     /// End-to-end p99 target; 0 (default) means no latency SLO — the model
     /// is batched for throughput and admission never rejects on time.
+    /// Must not be negative.
     std::chrono::milliseconds target_p99{0};
 
     /// Fair-share weight: the served-rate ratio between two backlogged
@@ -123,11 +150,29 @@ struct FleetOptions {
   /// off reproduces plain bounded-queue admission.
   bool slo_admission = true;
 
-  // ---- fault machinery, per model (same semantics as ServerOptions) ---------
+  // ---- fault machinery, per model ------------------------------------------
+
+  /// Extra attempts granted to a batch whose failure classified transient
+  /// (TransientFaultError, ResourceExhaustedError).  0 disables retry.
   std::size_t max_retries = 2;
+
+  /// Base backoff before retry attempt a: base * 2^(a-1), scaled by a
+  /// uniform jitter in [0.5, 1.5) so synchronized failures don't retry in
+  /// lockstep.  0 retries immediately (what deterministic tests use).
   std::chrono::microseconds retry_backoff{200};
+
+  /// Consecutive batch failures that trip a model's circuit breaker into
+  /// degraded mode (singleton batches, hardened serial executor).  0
+  /// disables.
   std::size_t breaker_threshold = 3;
+
+  /// Consecutive degraded-mode successes before normal batching restores.
   std::size_t breaker_recovery = 8;
+
+  /// Wall-clock budget an executing batch may spend before the watchdog
+  /// fails its futures fast and cancels the run.  0 (default) starts no
+  /// watchdog thread and leaves the execute path untouched.
+  std::chrono::milliseconds hang_budget{0};
 };
 
 /// Many models, one worker pool.  See the file comment for the contract.
@@ -185,6 +230,12 @@ class FleetServer {
 
   /// The artifact currently serving `name`; throws InvalidGraphError if none.
   std::shared_ptr<const CompiledModel> model(const std::string& name) const;
+
+  /// The session pool currently serving `name`; throws InvalidGraphError if
+  /// none.  Valid until `name` is swapped or removed and its generation has
+  /// drained.  Tests hold its leases to stall a lane and read its
+  /// quarantine stats.
+  SessionPool& session_pool(const std::string& name);
 
   /// Frozen metrics for every live model, one ModelSnapshot each.
   std::vector<metrics::ModelSnapshot> snapshot() const;
@@ -245,6 +296,18 @@ class FleetServer {
   };
   using ModelPtr = std::shared_ptr<Model>;
 
+  /// One executing batch registered with the watchdog.  Lives on the
+  /// executing worker's stack; watched_ holds it only while it is
+  /// registered and unflagged.
+  struct Watch {
+    Model* model = nullptr;
+    support::CancelToken* token = nullptr;
+    const std::vector<RequestPtr>* batch = nullptr;
+    std::chrono::steady_clock::time_point started;
+    std::list<Watch*>::iterator slot;
+    bool flagged = false;  ///< the watchdog failed this batch's futures
+  };
+
   /// What one execute_batch pass feeds back into the adaptive controller.
   struct BatchOutcome {
     std::vector<double> latencies_ms;  ///< end-to-end, values delivered in time
@@ -282,6 +345,13 @@ class FleetServer {
   void breaker_success(Model& model);
   std::size_t total_queued_locked() const;
 
+  /// Registers `watch` with the watchdog (no-op with a zero hang_budget).
+  void watch_begin(Watch& watch);
+  /// Unregisters `watch`; true when the watchdog already flagged it, i.e.
+  /// its futures are resolved and the run's result must be discarded.
+  bool watch_end(Watch& watch);
+  void watchdog_loop();
+
   FleetOptions options_;
 
   mutable std::mutex mutex_;
@@ -299,6 +369,13 @@ class FleetServer {
 
   std::mutex rng_mutex_;
   std::mt19937_64 rng_{0xf1ee7c0de5e17ull};  ///< guarded by rng_mutex_
+
+  // ---- watchdog (running only with a nonzero hang_budget) -------------------
+  std::mutex watch_mutex_;
+  std::condition_variable watch_cv_;
+  std::list<Watch*> watched_;   ///< in start order; guarded by watch_mutex_
+  bool watchdog_stop_ = false;  ///< guarded by watch_mutex_
+  std::thread watchdog_;
 };
 
 }  // namespace temco::serve

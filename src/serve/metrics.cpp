@@ -116,12 +116,14 @@ ModelSnapshot snapshot(const ModelMetrics& metrics) {
   s.failed = load(metrics.failed);
   s.cancelled = load(metrics.cancelled);
   s.deadline_expired = load(metrics.deadline_expired);
+  s.hung_requests = load(metrics.hung_requests);
   s.value_past_deadline = load(metrics.value_past_deadline);
   s.retries = load(metrics.retries);
   s.quarantined = load(metrics.quarantined);
   s.degraded_batches = load(metrics.degraded_batches);
   s.breaker_trips = load(metrics.breaker_trips);
   s.breaker_restores = load(metrics.breaker_restores);
+  s.hung_batches = load(metrics.hung_batches);
   s.batches = load(metrics.batches);
   s.batched_requests = load(metrics.batched_requests);
   s.max_batch_seen = load(metrics.max_batch_seen);
@@ -151,12 +153,14 @@ void append_json(std::string& out, const ModelSnapshot& s) {
   append_counter(out, "failed", s.failed);
   append_counter(out, "cancelled", s.cancelled);
   append_counter(out, "deadline_expired", s.deadline_expired);
+  append_counter(out, "hung_requests", s.hung_requests);
   append_counter(out, "value_past_deadline", s.value_past_deadline);
   append_counter(out, "retries", s.retries);
   append_counter(out, "quarantined", s.quarantined);
   append_counter(out, "degraded_batches", s.degraded_batches);
   append_counter(out, "breaker_trips", s.breaker_trips);
   append_counter(out, "breaker_restores", s.breaker_restores);
+  append_counter(out, "hung_batches", s.hung_batches);
   append_counter(out, "batches", s.batches);
   append_counter(out, "batched_requests", s.batched_requests);
   append_counter(out, "max_batch_seen", s.max_batch_seen);

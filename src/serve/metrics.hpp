@@ -69,8 +69,8 @@ class LatencyHistogram {
 /// Per-model serving counters, gauges, and latency histograms.  All members
 /// are atomics: recording is lock-free, reading is a snapshot.  Every
 /// accepted request lands in exactly one of completed / failed / cancelled /
-/// deadline_expired once it resolves; the rejected_* counters partition the
-/// refused submits by cause.
+/// deadline_expired / hung_requests once it resolves; the rejected_*
+/// counters partition the refused submits by cause.
 struct ModelMetrics {
   // ---- request lifecycle counters (monotonic) -------------------------------
   std::atomic<std::uint64_t> submitted{0};            ///< submit() calls, admitted or not
@@ -82,6 +82,7 @@ struct ModelMetrics {
   std::atomic<std::uint64_t> failed{0};               ///< futures failed with an execution error
   std::atomic<std::uint64_t> cancelled{0};            ///< futures failed with CancelledError
   std::atomic<std::uint64_t> deadline_expired{0};     ///< accepted requests that ran out of time
+  std::atomic<std::uint64_t> hung_requests{0};        ///< futures failed fast by the watchdog
   /// Values that arrived past their request's deadline and were converted to
   /// DeadlineExceededError by the fleet's strict-SLO rule before the promise
   /// fanout — an accepted request never yields a usable answer late.  Each
@@ -95,6 +96,7 @@ struct ModelMetrics {
   std::atomic<std::uint64_t> degraded_batches{0};  ///< batches executed in breaker-degraded mode
   std::atomic<std::uint64_t> breaker_trips{0};     ///< normal -> degraded transitions
   std::atomic<std::uint64_t> breaker_restores{0};  ///< degraded -> normal transitions
+  std::atomic<std::uint64_t> hung_batches{0};      ///< batches flagged over the hang budget
 
   // ---- batching -------------------------------------------------------------
   std::atomic<std::uint64_t> batches{0};           ///< micro-batches executed
@@ -122,9 +124,9 @@ struct ModelSnapshot {
 
   std::uint64_t submitted = 0, accepted = 0, rejected_queue_full = 0, rejected_slo = 0,
                 rejected_deadline = 0, completed = 0, failed = 0, cancelled = 0,
-                deadline_expired = 0, value_past_deadline = 0;
+                deadline_expired = 0, hung_requests = 0, value_past_deadline = 0;
   std::uint64_t retries = 0, quarantined = 0, degraded_batches = 0, breaker_trips = 0,
-                breaker_restores = 0;
+                breaker_restores = 0, hung_batches = 0;
   std::uint64_t batches = 0, batched_requests = 0, max_batch_seen = 0;
   std::int64_t queue_depth = 0, in_flight = 0, arena_resident_bytes = 0;
 
@@ -137,7 +139,7 @@ struct ModelSnapshot {
   double requests_per_second = 0.0;  ///< completed / uptime
   double batch_occupancy = 0.0;      ///< batched_requests / batches
 
-  // Adaptive-batcher state (fleet only; zero elsewhere).
+  // Adaptive-batcher and SLO state.
   std::uint64_t batch_cap = 0;
   std::int64_t batch_timeout_us = 0;
   double arrival_rate_hat = 0.0;

@@ -1,27 +1,29 @@
-// Serving fault-tolerance semantics: deadlines (admission, batch formation,
-// cooperative executor stops), transient-fault retry with a budget, session
-// quarantine after corrupting faults, the circuit breaker's degrade/restore
-// cycle, the hang-budget watchdog, and shutdown racing everything else.
+// Serving fault-tolerance semantics on a one-model fleet: deadlines
+// (admission, batch formation, cooperative executor stops), transient-fault
+// retry with a budget, session quarantine after corrupting faults, the
+// circuit breaker's degrade/restore cycle, the hang-budget watchdog, and
+// shutdown racing everything else.
 //
 // Determinism without sleeps-as-synchronization, same idiom as
 // tests/test_serve.cpp: failpoints inject the faults at exact hit counts,
-// the single worker is stalled at a known point by holding the pool's only
-// session lease, in_flight/stats counters are the cross-thread sync points,
-// and eventually() is a bounded observation spin, never a schedule.
+// the single lane is stalled by holding the pool's only session lease (so
+// submitted requests stay queued until it frees), and the metrics snapshot
+// or a resolved future is the cross-thread sync point, never a sleep.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <functional>
 #include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
-#include "serve/server.hpp"
+#include "serve/fleet.hpp"
 #include "serve/session.hpp"
+#include "serve_invariants.hpp"
 #include "support/cancel.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
@@ -32,11 +34,14 @@ namespace {
 using namespace std::chrono_literals;
 using serve::CompiledModel;
 using serve::CompileOptions;
-using serve::Server;
-using serve::ServerOptions;
+using serve::FleetOptions;
+using serve::FleetServer;
 using serve::Session;
 using serve::SessionPool;
 using serve::SubmitOptions;
+namespace metrics = serve::metrics;
+
+constexpr const char* kName = "clf";
 
 models::ModelConfig serve_config() {
   models::ModelConfig config;
@@ -78,16 +83,6 @@ std::vector<Tensor> random_request(const CompiledModel& model, Rng& rng) {
   return inputs;
 }
 
-/// Bounded spin-wait for cross-thread state the server exposes via stats.
-bool eventually(const std::function<bool()>& predicate, std::chrono::milliseconds limit = 10s) {
-  const auto deadline = std::chrono::steady_clock::now() + limit;
-  while (!predicate()) {
-    if (std::chrono::steady_clock::now() > deadline) return false;
-    std::this_thread::sleep_for(1ms);
-  }
-  return true;
-}
-
 void expect_bitwise_equal(const std::vector<Tensor>& got, const std::vector<Tensor>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t o = 0; o < got.size(); ++o) {
@@ -98,23 +93,22 @@ void expect_bitwise_equal(const std::vector<Tensor>& got, const std::vector<Tens
   }
 }
 
-/// Once drained, every accepted request must have resolved into exactly one
-/// terminal bucket.
-void expect_resolution_partition(const serve::ServerStats& stats) {
-  EXPECT_EQ(stats.accepted, stats.completed + stats.failed + stats.cancelled +
-                                stats.deadline_expired + stats.hung_requests)
-      << "accepted requests must partition into the terminal outcome counters";
-  EXPECT_EQ(stats.in_flight, 0u);
+/// The one installed model's metrics.
+metrics::ModelSnapshot stats(const FleetServer& fleet) {
+  const auto all = fleet.snapshot();
+  EXPECT_EQ(all.size(), 1u);
+  return all.empty() ? metrics::ModelSnapshot{} : all.front();
 }
 
-/// Server options tuned for deterministic single-worker tests: no batching
-/// window, no backoff naps, breaker off unless the test turns it on.
-ServerOptions strict_options() {
-  ServerOptions options;
+/// Fleet options tuned for deterministic single-lane tests: no batching
+/// window, no backoff naps, no admission forecasts, breaker off unless the
+/// test turns it on.
+FleetOptions strict_options() {
+  FleetOptions options;
   options.workers = 1;
-  options.sessions = 1;
-  options.max_batch = 2;
-  options.batch_timeout = 0us;
+  options.sessions_per_model = 1;
+  options.max_batch_timeout = 0us;
+  options.slo_admission = false;
   options.retry_backoff = 0us;
   options.breaker_threshold = 0;
   return options;
@@ -137,54 +131,57 @@ using ShutdownStressTest = FaultToleranceTest;
 
 TEST_F(DeadlineTest, ExpiredAtAdmissionIsRejectedTyped) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
+  FleetServer fleet(strict_options());
+  fleet.install(kName, model);
   Rng rng(1);
   SubmitOptions submit;
   submit.deadline = std::chrono::steady_clock::now() - 1ms;
-  EXPECT_THROW(server.submit(random_request(*model, rng), submit), DeadlineExceededError);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.deadline_rejected, 1u);
-  EXPECT_EQ(stats.accepted, 0u) << "a dead-on-arrival request must not consume queue capacity";
+  EXPECT_THROW(fleet.submit(kName, random_request(*model, rng), submit), DeadlineExceededError);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.rejected_deadline, 1u);
+  EXPECT_EQ(snap.accepted, 0u) << "a dead-on-arrival request must not consume queue capacity";
 }
 
 TEST_F(DeadlineTest, ExpiredBeforeExecutionResolvesTypedWithoutRunning) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
-  // Stall the single worker by holding the pool's only session.
-  SessionPool::Lease stall = server.session_pool().acquire();
+  FleetServer fleet(strict_options());
+  fleet.install(kName, model);
+  // Stall the single lane by holding the pool's only session: the request
+  // stays queued.
+  SessionPool::Lease stall = fleet.session_pool(kName).acquire();
   Rng rng(2);
   const auto deadline = std::chrono::steady_clock::now() + 5ms;
   SubmitOptions submit;
   submit.deadline = deadline;
-  auto future = server.submit(random_request(*model, rng), submit);
-  // The worker has claimed the request and is blocked on session checkout.
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 1; }));
+  auto future = fleet.submit(kName, random_request(*model, rng), submit);
+  EXPECT_EQ(stats(fleet).queue_depth, 1);
   // Let the deadline genuinely lapse before execution can begin (bounded
   // observation of the clock, not a synchronization sleep).
   while (std::chrono::steady_clock::now() <= deadline) std::this_thread::yield();
   stall.release();
   ASSERT_EQ(future.wait_for(30s), std::future_status::ready);
   EXPECT_THROW(future.get(), DeadlineExceededError);
-  ASSERT_TRUE(eventually([&] { return server.stats().in_flight == 0; }));
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.deadline_expired, 1u);
-  EXPECT_EQ(stats.completed, 0u);
-  EXPECT_EQ(stats.failed, 0u);
-  server.shutdown(true);
-  expect_resolution_partition(server.stats());
+  fleet.shutdown(true);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.deadline_expired, 1u);
+  EXPECT_EQ(snap.completed, 0u);
+  EXPECT_EQ(snap.failed, 0u);
+  EXPECT_EQ(snap.batches, 0u) << "an expired request must not burn a session";
+  expect_resolution_partition(fleet);
 }
 
 TEST_F(DeadlineTest, TimeoutSugarSetsTheDeadline) {
   auto model = tolerant_model();
-  Server server(model, strict_options());
+  FleetServer fleet(strict_options());
+  fleet.install(kName, model);
   Rng rng(3);
   // A generous timeout completes normally.
   SubmitOptions submit;
   submit.timeout = std::chrono::duration_cast<std::chrono::microseconds>(60s);
-  auto future = server.submit(random_request(*model, rng), submit);
+  auto future = fleet.submit(kName, random_request(*model, rng), submit);
   ASSERT_EQ(future.wait_for(60s), std::future_status::ready);
   EXPECT_NO_THROW(future.get());
-  EXPECT_EQ(server.stats().completed, 1u);
+  EXPECT_EQ(stats(fleet).completed, 1u);
 }
 
 // ---- the cancel token inside the executor ----------------------------------
@@ -219,20 +216,21 @@ TEST_F(CancelTokenTest, SessionRunStopsOnCancel) {
 
 TEST_F(RetryTest, TransientFaultRetriesOnSameBatchAndSucceeds) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install(kName, model);
   Rng rng(7);
   const auto inputs = random_request(*model, rng);
   failpoints::arm("serve.exec_transient", 1);  // exactly the first attempt fails
-  auto future = server.submit(inputs);
+  auto future = fleet.submit(kName, inputs);
   ASSERT_EQ(future.wait_for(60s), std::future_status::ready);
   std::vector<Tensor> outputs;
   ASSERT_NO_THROW(outputs = future.get()) << "one transient fault within budget must be retried";
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.retries, 1u);
-  EXPECT_EQ(stats.completed, 1u);
-  EXPECT_EQ(stats.failed, 0u);
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.retries, 1u);
+  EXPECT_EQ(snap.completed, 1u);
+  EXPECT_EQ(snap.failed, 0u);
   // The retried result is the correct one.
   Session reference(model);
   expect_bitwise_equal(outputs, reference.run(inputs));
@@ -240,59 +238,62 @@ TEST_F(RetryTest, TransientFaultRetriesOnSameBatchAndSucceeds) {
 
 TEST_F(RetryTest, ExhaustedRetryBudgetFailsTyped) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install(kName, model);
   Rng rng(8);
   failpoints::arm("serve.exec_transient", 3);  // initial + both retries all fault
-  auto future = server.submit(random_request(*model, rng));
+  auto future = fleet.submit(kName, random_request(*model, rng));
   ASSERT_EQ(future.wait_for(60s), std::future_status::ready);
   EXPECT_THROW(future.get(), TransientFaultError);
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.retries, 2u) << "the budget is max_retries re-executions, no more";
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.completed, 0u);
-  // The site is spent: the server keeps serving cleanly afterwards.
-  auto clean = server.submit(random_request(*model, rng));
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.retries, 2u) << "the budget is max_retries re-executions, no more";
+  EXPECT_EQ(snap.failed, 1u);
+  EXPECT_EQ(snap.completed, 0u);
+  // The site is spent: the fleet keeps serving cleanly afterwards.
+  auto clean = fleet.submit(kName, random_request(*model, rng));
   ASSERT_EQ(clean.wait_for(60s), std::future_status::ready);
   EXPECT_NO_THROW(clean.get());
-  server.shutdown(true);
-  expect_resolution_partition(server.stats());
+  fleet.shutdown(true);
+  expect_resolution_partition(fleet);
 }
 
 // ---- quarantine ------------------------------------------------------------
 
 TEST_F(QuarantineTest, CorruptingFaultRetiresTheSessionAndThePoolReplacesIt) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.max_retries = 2;  // corrupting faults must NOT consume retries
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install(kName, model);
   Rng rng(9);
   const auto inputs = random_request(*model, rng);
   failpoints::arm("kernels.poison_nan", 1);
-  auto poisoned = server.submit(inputs);
+  auto poisoned = fleet.submit(kName, inputs);
   ASSERT_EQ(poisoned.wait_for(60s), std::future_status::ready);
   EXPECT_THROW(poisoned.get(), NumericError) << "corrupting faults are terminal, never retried";
 
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.retries, 0u);
-  EXPECT_EQ(stats.failed, 1u);
-  EXPECT_EQ(stats.quarantined, 1u);
-  const auto pool_stats = server.session_pool().stats();
+  const auto snap = stats(fleet);
+  EXPECT_EQ(snap.retries, 0u);
+  EXPECT_EQ(snap.failed, 1u);
+  EXPECT_EQ(snap.quarantined, 1u);
+  SessionPool& pool = fleet.session_pool(kName);
+  const auto pool_stats = pool.stats();
   EXPECT_EQ(pool_stats.quarantined, 1u);
   EXPECT_EQ(pool_stats.replaced, 1u);
   EXPECT_EQ(pool_stats.replace_failures, 0u);
-  EXPECT_EQ(server.session_pool().size(), 1u) << "the pool must not shrink on replacement";
+  EXPECT_EQ(pool.size(), 1u) << "the pool must not shrink on replacement";
 
   // The replacement session serves correct results immediately.
-  auto clean = server.submit(inputs);
+  auto clean = fleet.submit(kName, inputs);
   ASSERT_EQ(clean.wait_for(60s), std::future_status::ready);
   std::vector<Tensor> outputs;
   ASSERT_NO_THROW(outputs = clean.get());
   Session reference(model);
   expect_bitwise_equal(outputs, reference.run(inputs));
-  server.shutdown(true);
-  expect_resolution_partition(server.stats());
+  fleet.shutdown(true);
+  expect_resolution_partition(fleet);
 }
 
 TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
@@ -318,93 +319,93 @@ TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
 
 TEST_F(BreakerTest, ConsecutiveFailuresDegradeThenCleanProbesRestore) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
-  options.max_batch = 2;
-  options.batch_timeout = std::chrono::duration_cast<std::chrono::microseconds>(1s);
+  FleetOptions options = strict_options();
   options.max_retries = 0;  // each transient fault fails its batch outright
   options.breaker_threshold = 2;
   options.breaker_recovery = 2;
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install(kName, model);
   Rng rng(11);
   const auto inputs = random_request(*model, rng);
 
   // Two consecutive batch failures trip the breaker.
   failpoints::arm("serve.exec_transient", 2);
   for (int i = 0; i < 2; ++i) {
-    auto future = server.submit(inputs);
+    auto future = fleet.submit(kName, inputs);
     ASSERT_EQ(future.wait_for(60s), std::future_status::ready);
     EXPECT_THROW(future.get(), TransientFaultError);
   }
-  auto stats = server.stats();
-  EXPECT_EQ(stats.breaker_trips, 1u);
-  EXPECT_TRUE(stats.degraded);
+  auto snap = stats(fleet);
+  EXPECT_EQ(snap.breaker_trips, 1u);
+  EXPECT_TRUE(snap.degraded);
 
   // Degraded mode: two requests that would normally coalesce into one batch
-  // of 2 must run as singleton batches.  Stall the worker, queue both, then
+  // of 2 must run as singleton batches.  Stall the lane, queue both, then
   // let them through.
   {
-    SessionPool::Lease stall = server.session_pool().acquire();
-    auto first = server.submit(inputs);
-    auto second = server.submit(inputs);
-    ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 1; }));
+    SessionPool::Lease stall = fleet.session_pool(kName).acquire();
+    auto first = fleet.submit(kName, inputs);
+    auto second = fleet.submit(kName, inputs);
+    EXPECT_EQ(stats(fleet).queue_depth, 2);
     stall.release();
     ASSERT_EQ(first.wait_for(60s), std::future_status::ready);
     ASSERT_EQ(second.wait_for(60s), std::future_status::ready);
     EXPECT_NO_THROW(first.get());
     EXPECT_NO_THROW(second.get());
   }
-  stats = server.stats();
-  EXPECT_EQ(stats.max_batch_seen, 1u) << "degraded mode must not coalesce";
-  EXPECT_GE(stats.degraded_batches, 2u);
-  EXPECT_EQ(stats.breaker_restores, 1u) << "two clean probes must close the breaker";
-  EXPECT_FALSE(stats.degraded);
+  snap = stats(fleet);
+  EXPECT_EQ(snap.max_batch_seen, 1u) << "degraded mode must not coalesce";
+  EXPECT_GE(snap.degraded_batches, 2u);
+  EXPECT_EQ(snap.breaker_restores, 1u) << "two clean probes must close the breaker";
+  EXPECT_FALSE(snap.degraded);
 
   // Restored: the same two-request pattern now coalesces into one batch.
   {
-    SessionPool::Lease stall = server.session_pool().acquire();
-    auto first = server.submit(inputs);
-    auto second = server.submit(inputs);
-    ASSERT_TRUE(eventually([&] { return server.stats().in_flight >= 2; }));
+    SessionPool::Lease stall = fleet.session_pool(kName).acquire();
+    auto first = fleet.submit(kName, inputs);
+    auto second = fleet.submit(kName, inputs);
+    EXPECT_EQ(stats(fleet).queue_depth, 2);
     stall.release();
     ASSERT_EQ(first.wait_for(60s), std::future_status::ready);
     ASSERT_EQ(second.wait_for(60s), std::future_status::ready);
     EXPECT_NO_THROW(first.get());
     EXPECT_NO_THROW(second.get());
   }
-  EXPECT_EQ(server.stats().max_batch_seen, 2u) << "normal batching must be restored";
-  server.shutdown(true);
-  expect_resolution_partition(server.stats());
+  EXPECT_EQ(stats(fleet).max_batch_seen, 2u) << "normal batching must be restored";
+  fleet.shutdown(true);
+  expect_resolution_partition(fleet);
 }
 
 // ---- watchdog --------------------------------------------------------------
 
 TEST_F(WatchdogTest, HungBatchFailsFastAndTheServerSurvives) {
   auto model = tolerant_model();
-  ServerOptions options = strict_options();
+  FleetOptions options = strict_options();
   options.hang_budget = 100ms;
-  options.watchdog_interval = 5ms;
-  Server server(model, options);
+  FleetServer fleet(options);
+  fleet.install(kName, model);
   Rng rng(12);
   const auto inputs = random_request(*model, rng);
 
   failpoints::arm("serve.wedge_batch", 1);  // the next batch parks until cancelled
-  auto hung = server.submit(inputs);
+  auto hung = fleet.submit(kName, inputs);
   ASSERT_EQ(hung.wait_for(60s), std::future_status::ready)
       << "the watchdog must fail a hung batch fast, not wait for it";
   EXPECT_THROW(hung.get(), DeadlineExceededError);
-  auto stats = server.stats();
-  EXPECT_EQ(stats.hung_batches, 1u);
-  EXPECT_EQ(stats.hung_requests, 1u);
+  auto snap = stats(fleet);
+  EXPECT_EQ(snap.hung_batches, 1u);
+  EXPECT_EQ(snap.hung_requests, 1u);
 
   // The worker came back (the cancel unwedged it) and keeps serving.
-  auto clean = server.submit(inputs);
+  auto clean = fleet.submit(kName, inputs);
   ASSERT_EQ(clean.wait_for(60s), std::future_status::ready);
   std::vector<Tensor> outputs;
   ASSERT_NO_THROW(outputs = clean.get());
   Session reference(model);
   expect_bitwise_equal(outputs, reference.run(inputs));
-  server.shutdown(true);
-  expect_resolution_partition(server.stats());
+  fleet.shutdown(true);
+  EXPECT_EQ(stats(fleet).completed, 1u);
+  expect_resolution_partition(fleet);
 }
 
 // ---- shutdown racing everything --------------------------------------------
@@ -414,10 +415,11 @@ TEST_F(ShutdownStressTest, ConcurrentSubmittersAndShutdownsResolveEveryFutureExa
   Rng rng(13);
   const auto inputs = random_request(*model, rng);
   for (int round = 0; round < 6; ++round) {
-    ServerOptions options = strict_options();
+    FleetOptions options = strict_options();
     options.workers = 2;
-    options.sessions = 1;  // checkout contention widens the claimed-vs-queued race window
-    Server server(model, options);
+    options.sessions_per_model = 1;  // lease contention widens the claimed-vs-queued race window
+    FleetServer fleet(options);
+    fleet.install(kName, model);
 
     std::vector<std::future<std::vector<Tensor>>> futures;
     std::mutex futures_mutex;
@@ -426,7 +428,7 @@ TEST_F(ShutdownStressTest, ConcurrentSubmittersAndShutdownsResolveEveryFutureExa
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       for (int i = 0; i < 16; ++i) {
         try {
-          auto future = server.submit(inputs);
+          auto future = fleet.submit(kName, inputs);
           std::lock_guard<std::mutex> lock(futures_mutex);
           futures.push_back(std::move(future));
         } catch (const Error&) {
@@ -439,11 +441,11 @@ TEST_F(ShutdownStressTest, ConcurrentSubmittersAndShutdownsResolveEveryFutureExa
     // resolve exactly once.
     auto drainer = [&] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      server.shutdown(true);
+      fleet.shutdown(true);
     };
     auto aborter = [&] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
-      server.shutdown(false);
+      fleet.shutdown(false);
     };
     std::vector<std::thread> threads;
     threads.emplace_back(submitter);
@@ -465,7 +467,8 @@ TEST_F(ShutdownStressTest, ConcurrentSubmittersAndShutdownsResolveEveryFutureExa
                          "(double-resolution corrupts promises into future_error)";
       }
     }
-    expect_resolution_partition(server.stats());
+    EXPECT_EQ(stats(fleet).accepted, futures.size()) << "round " << round;
+    expect_resolution_partition(fleet);
   }
 }
 

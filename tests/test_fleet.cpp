@@ -5,7 +5,8 @@
 // Determinism strategy mirrors test_serve.cpp: timing-sensitive behavior is
 // driven by backlog (saturate the queue, then observe) rather than sleeps,
 // and every cross-thread observation goes through the metrics snapshot or a
-// resolved future.
+// resolved future.  The one-model contracts (backpressure, shutdown, fault
+// battery, watchdog) live in test_serve.cpp and test_fault_tolerance.cpp.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,6 +23,7 @@
 #include "serve/fault.hpp"
 #include "serve/fleet.hpp"
 #include "serve/session.hpp"
+#include "serve_invariants.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
 #include "tensor/compare.hpp"
@@ -108,13 +110,46 @@ TEST(FleetOptionsTest, ConstructionRejectsDegenerateOptions) {
   }
   {
     FleetOptions options;
+    options.retry_backoff = -1us;
+    EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
+  }
+  {
+    FleetOptions options;
     options.default_slo.weight = 0.0;
     EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
   }
-  // An install-time SLO is validated too.
+  {
+    // A negative target would read as "no SLO" everywhere it is consulted
+    // while metrics reported it as a target.
+    FleetOptions options;
+    options.default_slo.target_p99 = -1ms;
+    EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
+  }
+  {
+    FleetOptions options;
+    options.hang_budget = -1ms;
+    EXPECT_THROW(FleetServer fleet(options), InvalidGraphError);
+  }
+  // An install-time SLO is validated too, and a rejected install leaves the
+  // name unserved.
   FleetServer fleet;
   auto model = compile_zoo_model("alexnet", 2);
   EXPECT_THROW(fleet.install("clf", model, {.weight = -1.0}), InvalidGraphError);
+  EXPECT_THROW(fleet.install("clf", model, {.target_p99 = -1ms, .weight = 1.0}),
+               InvalidGraphError);
+  EXPECT_TRUE(fleet.names().empty());
+
+  // The boundary cases stay valid.
+  FleetOptions minimal;
+  minimal.workers = 1;
+  minimal.sessions_per_model = 1;
+  minimal.queue_capacity = 1;
+  minimal.max_batch_timeout = 0us;
+  minimal.retry_backoff = 0us;
+  minimal.breaker_threshold = 0;
+  minimal.breaker_recovery = 0;
+  minimal.hang_budget = 0ms;
+  EXPECT_NO_THROW(FleetServer boundary(minimal));
 }
 
 // ---- routing + numerics -----------------------------------------------------
@@ -384,6 +419,75 @@ TEST(FleetServerTest, TransientFaultsRetryInvisiblyPerModel) {
   EXPECT_EQ(snap.completed, 2u);
 }
 
+// ---- watchdog -----------------------------------------------------------------
+
+TEST(FleetWatchdogTest, WedgedModelDoesNotTakeALaneFromOtherModels) {
+  auto wedged = compile_zoo_model("alexnet", 2);
+  auto healthy = compile_zoo_model("resnet18", 2);
+  FleetOptions options;
+  options.workers = 2;
+  options.sessions_per_model = 1;
+  options.hang_budget = 1000ms;
+  options.slo_admission = false;
+  FleetServer fleet(options);
+  fleet.install("wedged", wedged);
+  fleet.install("healthy", healthy);
+
+  Rng rng(37);
+  const auto wedged_req = random_request(*wedged, rng);
+  const auto healthy_req = random_request(*healthy, rng);
+  Session wedged_ref(wedged), healthy_ref(healthy);
+  const auto want_wedged = wedged_ref.run(wedged_req);
+  const auto want_healthy = healthy_ref.run(healthy_req);
+
+  // Wedge the first model's batch: it parks holding a worker and that
+  // model's only session until something cancels it.
+  failpoints::ScopedArm wedge("serve.wedge_batch", 1);
+  auto hung = fleet.submit("wedged", wedged_req);
+  const auto fired = [] {
+    for (const auto& site : failpoints::list()) {
+      if (site.name == "serve.wedge_batch") return !site.armed();
+    }
+    return false;
+  };
+  const auto limit = std::chrono::steady_clock::now() + 30s;
+  while (!fired() && std::chrono::steady_clock::now() < limit) std::this_thread::yield();
+  ASSERT_TRUE(fired()) << "the wedged model's batch never started";
+
+  // The other model keeps its lane: served, bitwise, while the wedge holds.
+  for (int r = 0; r < 4; ++r) {
+    const auto got = fleet.submit("healthy", healthy_req).get();
+    ASSERT_EQ(got.size(), want_healthy.size());
+    for (std::size_t o = 0; o < got.size(); ++o) {
+      EXPECT_EQ(max_abs_diff(got[o], want_healthy[o]), 0.0f) << "request " << r;
+    }
+  }
+  EXPECT_EQ(hung.wait_for(0s), std::future_status::timeout)
+      << "the other model should be served well inside the hang budget";
+
+  // The watchdog rescues the wedged batch within a bounded wait ...
+  ASSERT_EQ(hung.wait_for(60s), std::future_status::ready);
+  EXPECT_THROW(hung.get(), DeadlineExceededError);
+
+  // ... and its lane comes back: the next request is bitwise a lone Session.
+  const auto again = fleet.submit("wedged", wedged_req).get();
+  ASSERT_EQ(again.size(), want_wedged.size());
+  for (std::size_t o = 0; o < again.size(); ++o) {
+    EXPECT_EQ(max_abs_diff(again[o], want_wedged[o]), 0.0f);
+  }
+
+  fleet.shutdown(true);
+  const auto all = fleet.snapshot();
+  const auto& w = find_snapshot(all, "wedged");
+  const auto& h = find_snapshot(all, "healthy");
+  EXPECT_EQ(w.hung_batches, 1u);
+  EXPECT_EQ(w.hung_requests, 1u);
+  EXPECT_EQ(w.completed, 1u);
+  EXPECT_EQ(h.hung_batches, 0u);
+  EXPECT_EQ(h.completed, 4u);
+  expect_resolution_partition(fleet);
+}
+
 // ---- hot swap ---------------------------------------------------------------
 
 TEST(FleetServerTest, HotSwapUnderLoadAttributesEveryResponseAndDrains) {
@@ -461,6 +565,7 @@ TEST(FleetServerTest, RemoveStopsServingAndShutdownResolvesEverything) {
   EXPECT_NO_THROW(pending.get());  // drain completes accepted work
   EXPECT_THROW(fleet.submit("clf2", request), CancelledError);
   fleet.shutdown(true);  // idempotent
+  expect_resolution_partition(fleet);
 }
 
 // ---- metrics ----------------------------------------------------------------
@@ -491,7 +596,8 @@ TEST(FleetMetricsTest, JsonExportCarriesCountersAndAdaptiveState) {
   const std::string json = fleet.metrics_json();
   for (const char* key :
        {"\"models\":", "\"model\": \"clf\"", "\"completed\": 4", "\"rejected_slo\":",
-        "\"value_past_deadline\": 0", "\"arena_resident_bytes\":", "\"batch_cap\":",
+        "\"value_past_deadline\": 0", "\"hung_requests\": 0", "\"hung_batches\": 0",
+        "\"arena_resident_bytes\":", "\"batch_cap\":",
         "\"weight\": 2.000", "\"slo_target_p99_ms\": 250.000", "\"latency\":", "\"queue_wait\":",
         "\"exec\":", "\"p99_ms\":", "\"requests_per_second\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key << " in " << json;
