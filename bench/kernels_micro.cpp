@@ -1,11 +1,12 @@
 // Kernel micro-benchmarks: GEMM engine vs the retained naive baselines.
 //
 // Measures the paths the GEMM micro-kernel engine took over — 1×1 convs on
-// the zoo's decomposed shapes, dense stride-1/strided convs, matmul, and the
-// fused sandwich — each against the pre-GEMM kernel preserved in
-// kernels/naive.{hpp,cpp}.  Engine variants are timed in *serial* mode so the
-// speedup column is a single-thread like-for-like comparison (the engine's
-// parallel block grid is bit-identical and comes on top).
+// the zoo's decomposed shapes, dense stride-1/strided convs, the zoo's Tucker
+// cores on the direct conv kernel, matmul, and the fused sandwich — each
+// against the pre-GEMM kernel preserved in kernels/naive.{hpp,cpp}.  Engine
+// variants are timed in *serial* mode so the speedup column is a
+// single-thread like-for-like comparison (the engine's parallel block grid is
+// bit-identical and comes on top).
 //
 // The engine rows run whatever kernel tier runtime dispatch selects
 // (TEMCO_KERNEL_ISA overrides; the active tier is printed and recorded per
@@ -186,6 +187,14 @@ void conv1x1_zoo() {
               std::exp(log_sum / static_cast<double>(speedups.size())));
 }
 
+/// The conv2d path a multi-tap conv takes, read off its packed size: the
+/// GEMM paths pack the weight, the direct stride-1 kernel and the strided
+/// tiled loop read it in place.
+const char* conv_variant(std::int64_t packed_floats, std::int64_t stride) {
+  if (packed_floats == 0) return stride == 1 ? "direct" : "tiled";
+  return stride == 1 ? "shifted-gemm" : "im2col-gemm";
+}
+
 void conv_dense() {
   struct Case { std::int64_t c_in, c_out, side, k, stride, pad; };
   const Case cases[] = {
@@ -216,14 +225,50 @@ void conv_dense() {
     const std::int64_t pf = kernels::conv2d_prepack_floats(w, c.stride, c.stride, h_out);
     if (pf > 0) {
       packed.resize(static_cast<std::size_t>(pf));
-      kernels::conv2d_prepack(w, c.stride, c.stride, packed.data());
+      kernels::conv2d_prepack(w, c.stride, c.stride, h_out, packed.data());
     }
-    // stride 1 lowers to kh*kw shifted GEMMs over prepacked per-tap panels;
-    // strided convs lower to one implicit GEMM over an im2col column matrix.
-    const char* variant = pf == 0 ? "tiled" : (c.stride > 1 ? "im2col-gemm" : "shifted-gemm");
-    bench_case("conv2d", shape, variant, flops, naive_ns, [&] {
+    bench_case("conv2d", shape, conv_variant(pf, c.stride), flops, naive_ns, [&] {
       kernels::conv2d(x, w, b, c.stride, c.stride, c.pad, c.pad, out,
                       packed.empty() ? nullptr : packed.data());
+    });
+  }
+  std::printf("\n");
+}
+
+/// The Tucker cores of the fig11 models (resnet18, densenet121, unet_half at
+/// width 0.25, image 32, UNet at 64), each a stride-1 3×3 conv with padding
+/// 1, at batch 4 on a one-thread intra-op pool — the width the fig11
+/// benchmark runs.  Every row but the two 8×8 ones takes the direct kernel.
+void conv_census() {
+  temco::ThreadPool serial(1);
+  temco::ScopedIntraOpPool scope(&serial);
+  struct Case { std::int64_t c_in, c_out, side; };
+  const Case cases[] = {
+      {1, 1, 64}, {2, 1, 64}, {1, 2, 32}, {2, 2, 32}, {3, 2, 32}, {2, 3, 16},  // unet_half
+      {3, 3, 16}, {6, 3, 16}, {3, 6, 8},  {6, 6, 8},                           // unet_half
+      {2, 2, 7},  {3, 3, 4},  {6, 6, 2},  {13, 13, 1},                          // resnet18
+      {3, 1, 7},  {3, 1, 3},  {3, 1, 1},                                        // densenet121
+  };
+  const std::int64_t batch = 4;
+  for (const Case& c : cases) {
+    const Tensor x = random(Shape{batch, c.c_in, c.side, c.side}, 14);
+    const Tensor w = random(Shape{c.c_out, c.c_in, 3, 3}, 15);
+    const Tensor b = random(Shape{c.c_out}, 16);
+    Tensor out = Tensor::zeros(Shape{batch, c.c_out, c.side, c.side});
+    const double flops = 2.0 * static_cast<double>(batch * c.c_out * c.c_in * 9 * c.side * c.side);
+    char shape[64];
+    std::snprintf(shape, sizeof(shape), "b%lld c%lld>%lld@%lldx%lld",
+                  static_cast<long long>(batch), static_cast<long long>(c.c_in),
+                  static_cast<long long>(c.c_out), static_cast<long long>(c.side),
+                  static_cast<long long>(c.side));
+    const double naive_ns = bench_case("core", shape, "naive", flops, 0.0, [&] {
+      kernels::naive::conv2d(x, w, b, 1, 1, 1, 1, out);
+    });
+    const std::int64_t pf = kernels::conv2d_prepack_floats(w, 1, 1, c.side);
+    std::vector<float> packed(static_cast<std::size_t>(pf));
+    kernels::conv2d_prepack(w, 1, 1, c.side, packed.data());
+    bench_case("core", shape, conv_variant(pf, 1), flops, naive_ns, [&] {
+      kernels::conv2d(x, w, b, 1, 1, 1, 1, out, pf > 0 ? packed.data() : nullptr);
     });
   }
   std::printf("\n");
@@ -362,6 +407,7 @@ int main(int argc, char** argv) {
               "throughput", "vs naive", "peak");
   conv1x1_zoo();
   conv_dense();
+  conv_census();
   matmul_cases();
   fused_sandwich();
   write_json(json_path);

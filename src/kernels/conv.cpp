@@ -3,15 +3,20 @@
 //   * 1×1 stride-1 convolution is a batched GEMM: C[co,hw] = W[co,ci]·X[ci,hw]
 //     + b, with the weight packed into micro-kernel panels (at plan time by
 //     the executor, or on the fly for standalone calls).
-//   * General stride-1 convolution is an im2col-free shifted GEMM: for each
-//     kernel tap (r,s), the tap's weight slice W[:,:,r,s] — pre-packed as its
-//     own panel set — multiplies the input rows shifted by (r,s) and
-//     accumulates into the clipped output column range.  No intermediate
-//     buffer exists; padding falls out of the per-tap column clipping.
-//   * Strided convolution keeps a direct loop, register-tiled over kCoTile
-//     output channels so each input row is streamed once per tile instead of
-//     once per channel, with branch-free inner loops (no per-coefficient
-//     zero test — it defeated vectorization).
+//   * Wide, many-channel stride-1 convolution is an im2col-free shifted GEMM:
+//     for each kernel tap (r,s), the tap's weight slice W[:,:,r,s] —
+//     pre-packed as its own panel set — multiplies the input rows shifted by
+//     (r,s) and accumulates into the clipped output column range.  No
+//     intermediate buffer exists; padding falls out of the per-tap column
+//     clipping.
+//   * Stride-1 convolution with at most kMR output channels or rows narrower
+//     than kNR — the Tucker cores — runs on the direct vector kernel
+//     (KernelOps::conv_direct_rows), which reads the weight in place and keeps
+//     a row of up to kMR channels in registers across every tap.  Per-tap
+//     GEMM calls cost more in setup than such a call's arithmetic.
+//   * Strided convolution lowers to an im2col implicit GEMM, or, on rows
+//     narrower than kNR, keeps a direct loop register-tiled over kCoTile
+//     output channels.
 //
 // Accumulation order per output element is fixed by geometry alone (taps in
 // (r,s) order, channels ascending), so every path is bit-deterministic
@@ -20,6 +25,7 @@
 #include <vector>
 
 #include "kernels/gemm.hpp"
+#include "kernels/gemm_dispatch.hpp"
 #include "kernels/kernels.hpp"
 #include "parallel/parallel_for.hpp"
 #include "support/check.hpp"
@@ -34,6 +40,30 @@ constexpr std::int64_t kCoTile = 4;
 bool is_pointwise(std::int64_t kh, std::int64_t kw, std::int64_t sh, std::int64_t sw,
                   std::int64_t ph, std::int64_t pw) {
   return kh == 1 && kw == 1 && sh == 1 && sw == 1 && ph == 0 && pw == 0;
+}
+
+/// The conv paths, by weight layout: the two GEMM paths consume a packed
+/// blob, the two direct paths read w in place.
+enum class ConvPath : std::uint8_t {
+  kShiftedGemm,  ///< stride 1: one panel set per tap (a pointwise conv is the 1-tap case)
+  kIm2colGemm,   ///< strided: one panel set over the flattened W[c_out, c_in·kh·kw]
+  kDirect,       ///< stride 1, multi-tap, c_out ≤ kMR or w_out < kNR: direct vector kernel
+  kTiled,        ///< strided, multi-tap, w_out < kNR: register-tiled scalar loop
+};
+
+/// The one dispatch rule.  conv2d, conv2d_prepack_floats and conv2d_prepack
+/// all derive from it, so a packed blob exists exactly when the path that
+/// runs consumes one.  Geometry only: the choice never depends on the thread
+/// count, the ISA tier or the batch size.
+ConvPath conv_path(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
+                   std::int64_t w_out) {
+  const bool one_tap = w.shape()[2] == 1 && w.shape()[3] == 1;
+  const bool narrow = w_out < gemm::kNR;
+  if (stride_h == 1 && stride_w == 1) {
+    return !one_tap && (w.shape()[0] <= gemm::kMR || narrow) ? ConvPath::kDirect
+                                                             : ConvPath::kShiftedGemm;
+  }
+  return !one_tap && narrow ? ConvPath::kTiled : ConvPath::kIm2colGemm;
 }
 
 /// 1×1 stride-1 convolution: one batched GEMM over the packed weight.
@@ -79,7 +109,7 @@ void conv2d_unit_stride(const Tensor& x, const Tensor& w, const Tensor& b, std::
   std::vector<float> local;
   if (prepacked == nullptr) {
     local.resize(static_cast<std::size_t>(conv2d_prepack_floats(w, 1, 1, w_out)));
-    conv2d_prepack(w, 1, 1, local.data());
+    conv2d_prepack(w, 1, 1, w_out, local.data());
     prepacked = local.data();
   }
   const float* px = x.data();
@@ -111,6 +141,40 @@ void conv2d_unit_stride(const Tensor& x, const Tensor& w, const Tensor& b, std::
                               xbase + ih * w_in + (s - pad_w) + lo, h_in * w_in, hi - lo,
                               crow + lo, h_out * w_out, options);
           }
+        }
+      });
+}
+
+/// Output columns one direct-conv task covers at least: enough rows that the
+/// task's fixed cost (the call and each chunk's tap masks) is amortized, few
+/// enough that a batch-1 conv still spreads over the intra-op pool.
+constexpr std::int64_t kDirectTaskCols = 256;
+
+/// Stride-1 convolution on the direct vector kernel: one task per (image,
+/// block of output rows), one conv_direct_rows call per group of kMR output
+/// channels, all on the tier resolved once for the whole conv.  Every output
+/// element is computed the same way whatever the block, so neither the
+/// pool width nor the batch size changes a bit.
+void conv2d_direct(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t pad_h,
+                   std::int64_t pad_w, Tensor& out) {
+  const gemm::detail::DirectConv conv{
+      .x = x.data(), .w = w.data(), .bias = b.data(), .out = out.data(),
+      .c_in = x.shape()[1], .h_in = x.shape()[2], .w_in = x.shape()[3],
+      .c_out = out.shape()[1], .h_out = out.shape()[2], .w_out = out.shape()[3],
+      .kh = w.shape()[2], .kw = w.shape()[3], .pad_h = pad_h, .pad_w = pad_w};
+  if (out.numel() == 0) return;
+  const gemm::detail::KernelOps& ops = gemm::detail::active_ops();
+  const std::int64_t block = std::min(conv.h_out, (kDirectTaskCols + conv.w_out - 1) / conv.w_out);
+  const std::int64_t blocks = (conv.h_out + block - 1) / block;
+  parallel_for_2d(
+      static_cast<std::size_t>(x.shape()[0] * blocks),
+      static_cast<std::size_t>(conv.c_out * block * conv.w_out * conv.c_in * conv.kh * conv.kw),
+      [&](std::size_t task, std::size_t, std::size_t) {
+        const std::int64_t n = static_cast<std::int64_t>(task) / blocks;
+        const std::int64_t oh0 = static_cast<std::int64_t>(task) % blocks * block;
+        const std::int64_t oh1 = std::min(conv.h_out, oh0 + block);
+        for (std::int64_t co0 = 0; co0 < conv.c_out; co0 += gemm::kMR) {
+          ops.conv_direct_rows(conv, n, co0, std::min(gemm::kMR, conv.c_out - co0), oh0, oh1);
         }
       });
 }
@@ -287,26 +351,30 @@ std::int64_t conv2d_prepack_floats(const Tensor& w, std::int64_t stride_h, std::
                                    std::int64_t w_out) {
   const std::int64_t c_out = w.shape()[0];
   const std::int64_t c_in = w.shape()[1];
-  const std::int64_t kh = w.shape()[2];
-  const std::int64_t kw = w.shape()[3];
-  // Dense taps on outputs narrower than one register tile dispatch to the
-  // tiled paths (see conv2d below), which read w in place.
-  if ((kh != 1 || kw != 1) && w_out < gemm::kNR) return 0;
-  if (stride_h != 1 || stride_w != 1) {
-    // Strided im2col-GEMM: one panel set over the flattened W[c_out, ck].
-    return gemm::packed_a_floats(c_out, c_in * kh * kw);
+  const std::int64_t taps = w.shape()[2] * w.shape()[3];
+  switch (conv_path(w, stride_h, stride_w, w_out)) {
+    case ConvPath::kShiftedGemm: return taps * gemm::packed_a_floats(c_out, c_in);
+    case ConvPath::kIm2colGemm: return gemm::packed_a_floats(c_out, c_in * taps);
+    case ConvPath::kDirect:
+    case ConvPath::kTiled: return 0;
   }
-  return kh * kw * gemm::packed_a_floats(c_out, c_in);
+  return 0;
 }
 
-void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w, float* out) {
+void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
+                    std::int64_t w_out, float* out) {
   const std::int64_t c_out = w.shape()[0];
   const std::int64_t c_in = w.shape()[1];
   const std::int64_t kh = w.shape()[2];
   const std::int64_t kw = w.shape()[3];
-  if (stride_h != 1 || stride_w != 1) {
-    // Strided im2col-GEMM layout: the flattened 2-D weight view W[c_out, ck]
-    // (native row-major order) packed as one panel set.
+  const ConvPath path = conv_path(w, stride_h, stride_w, w_out);
+  if (path == ConvPath::kDirect || path == ConvPath::kTiled) return;  // no packed form
+  TEMCO_CHECK(out != nullptr) << "conv2d_prepack: this geometry has a packed form ("
+                              << conv2d_prepack_floats(w, stride_h, stride_w, w_out)
+                              << " floats) but no buffer was given";
+  if (path == ConvPath::kIm2colGemm) {
+    // The flattened 2-D weight view W[c_out, ck] (native row-major order)
+    // packed as one panel set.
     const std::int64_t ck = c_in * kh * kw;
     gemm::pack_a(w.data(), ck, 1, c_out, ck, out);
     return;
@@ -325,25 +393,24 @@ void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_
 void conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stride_h,
             std::int64_t stride_w, std::int64_t pad_h, std::int64_t pad_w, Tensor& out,
             const float* prepacked) {
-  const std::int64_t kh = w.shape()[2];
-  const std::int64_t kw = w.shape()[3];
   TEMCO_CHECK(x.shape()[1] == w.shape()[1]) << "conv2d channel mismatch";
-  // GEMM paths win when output rows are at least one register tile wide;
-  // narrower maps pay more in per-call setup than the tile earns, so they
-  // keep the direct tiled loop.  Stride 1 uses the buffer-free shifted GEMM;
-  // other strides materialize per-row im2col columns (implicit GEMM).  The
-  // choice is geometry-only and must stay in lockstep with
-  // conv2d_prepack_floats so a packed blob exists exactly when a GEMM path
-  // consumes it.
-  const bool wide_enough = (kh == 1 && kw == 1) || out.shape()[3] >= gemm::kNR;
-  if (is_pointwise(kh, kw, stride_h, stride_w, pad_h, pad_w)) {
-    conv1x1(x, w, b, out, prepacked);
-  } else if (stride_h == 1 && stride_w == 1 && wide_enough) {
-    conv2d_unit_stride(x, w, b, pad_h, pad_w, out, prepacked);
-  } else if (wide_enough) {
-    conv2d_im2col_strided(x, w, b, stride_h, stride_w, pad_h, pad_w, out, prepacked);
-  } else {
-    conv2d_strided(x, w, b, stride_h, stride_w, pad_h, pad_w, out);
+  switch (conv_path(w, stride_h, stride_w, out.shape()[3])) {
+    case ConvPath::kShiftedGemm:
+      if (is_pointwise(w.shape()[2], w.shape()[3], stride_h, stride_w, pad_h, pad_w)) {
+        conv1x1(x, w, b, out, prepacked);
+      } else {
+        conv2d_unit_stride(x, w, b, pad_h, pad_w, out, prepacked);
+      }
+      break;
+    case ConvPath::kIm2colGemm:
+      conv2d_im2col_strided(x, w, b, stride_h, stride_w, pad_h, pad_w, out, prepacked);
+      break;
+    case ConvPath::kDirect:
+      conv2d_direct(x, w, b, pad_h, pad_w, out);
+      break;
+    case ConvPath::kTiled:
+      conv2d_strided(x, w, b, stride_h, stride_w, pad_h, pad_w, out);
+      break;
   }
 }
 

@@ -196,6 +196,38 @@ void scalar_block_direct(const float* a, std::int64_t lda, std::int64_t k, const
   run_block<false>(a, lda, k, b, ldb, c, ldc, bias, init, i0, mb, j0, nb);
 }
 
+/// Scalar direct convolution rows: each output channel's row is seeded with
+/// its bias in place, then every in-bounds tap (r,s), and within a tap every
+/// ci in ascending order, adds w·x over the tap's valid column window.
+void scalar_conv_direct_rows(const detail::DirectConv& conv, std::int64_t n, std::int64_t co0,
+                             std::int64_t mr, std::int64_t oh0, std::int64_t oh1) {
+  const std::int64_t taps = conv.kh * conv.kw;
+  const std::int64_t in_plane = conv.h_in * conv.w_in;
+  const float* ximg = conv.x + n * conv.c_in * in_plane;
+  for (std::int64_t co = co0; co < co0 + mr; ++co) {
+    const float* wco = conv.w + co * conv.c_in * taps;
+    for (std::int64_t oh = oh0; oh < oh1; ++oh) {
+      float* orow = conv.out + ((n * conv.c_out + co) * conv.h_out + oh) * conv.w_out;
+      std::fill(orow, orow + conv.w_out, conv.bias[co]);
+      for (std::int64_t r = 0; r < conv.kh; ++r) {
+        const std::int64_t ih = oh - conv.pad_h + r;
+        if (ih < 0 || ih >= conv.h_in) continue;
+        for (std::int64_t s = 0; s < conv.kw; ++s) {
+          const std::int64_t lo = std::max<std::int64_t>(0, conv.pad_w - s);
+          const std::int64_t hi = std::min(conv.w_out, conv.w_in + conv.pad_w - s);
+          if (lo >= hi) continue;
+          const std::int64_t shift = s - conv.pad_w;  // iw = ow + shift
+          for (std::int64_t ci = 0; ci < conv.c_in; ++ci) {
+            const float wv = wco[ci * taps + r * conv.kw + s];
+            const float* xrow = ximg + ci * in_plane + ih * conv.w_in;
+            for (std::int64_t ow = lo; ow < hi; ++ow) orow[ow] += wv * xrow[ow + shift];
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Scalar peak probe: 16 independent mul-add chains.  The compiler may SLP-
 /// vectorize them to the build's baseline width, so this measures the peak of
 /// "what the oracle path could theoretically do", not one lane.
@@ -210,8 +242,8 @@ void scalar_peak_probe(std::int64_t iters) {
 }
 
 const detail::KernelOps kScalarOps = {
-    Isa::kScalar, "scalar", &scalar_block_packed, &scalar_block_direct, &scalar_peak_probe,
-    16.0 * 2.0,
+    Isa::kScalar, "scalar", &scalar_block_packed, &scalar_block_direct, &scalar_conv_direct_rows,
+    &scalar_peak_probe, 16.0 * 2.0,
 };
 
 /// The tier table for `isa`, or nullptr when that tier is not compiled into
@@ -264,22 +296,22 @@ const detail::KernelOps* resolve_ops() {
 /// are a test-harness feature and documented as process-global.
 std::atomic<const detail::KernelOps*> g_isa_override{nullptr};
 
-const detail::KernelOps& active_ops() {
+}  // namespace
+
+namespace detail {
+
+const KernelOps& active_ops() {
   if (fp_dispatch.fire()) {
     TEMCO_WARN() << "gemm: dispatch found no supported vector ISA "
                  << "(gemm.dispatch failpoint); degrading to scalar micro-kernels";
     return kScalarOps;
   }
-  if (const detail::KernelOps* forced = g_isa_override.load(std::memory_order_acquire)) {
+  if (const KernelOps* forced = g_isa_override.load(std::memory_order_acquire)) {
     return *forced;
   }
-  static const detail::KernelOps* resolved = resolve_ops();
+  static const KernelOps* resolved = resolve_ops();
   return *resolved;
 }
-
-}  // namespace
-
-namespace detail {
 
 float* lane_pack_buffer() {
   // One kMC×kKC strip per ThreadPool lane; a lane is pinned to one OS thread
@@ -302,9 +334,9 @@ const KernelOps* scalar_ops() { return &kScalarOps; }
 
 }  // namespace detail
 
-Isa active_isa() { return active_ops().isa; }
+Isa active_isa() { return detail::active_ops().isa; }
 
-const char* active_isa_name() { return active_ops().name; }
+const char* active_isa_name() { return detail::active_ops().name; }
 
 void check_pack_layout(std::uint32_t stamped) {
   TEMCO_CHECK_AS(stamped == kPackLayoutVersion, InvalidGraphError)
@@ -334,9 +366,9 @@ ScopedIsa::~ScopedIsa() {
                        std::memory_order_release);
 }
 
-void peak_probe_iters(std::int64_t iters) { active_ops().peak_probe(iters); }
+void peak_probe_iters(std::int64_t iters) { detail::active_ops().peak_probe(iters); }
 
-double peak_probe_flops_per_iter() { return active_ops().probe_flops_per_iter; }
+double peak_probe_flops_per_iter() { return detail::active_ops().probe_flops_per_iter; }
 
 namespace {
 
@@ -352,7 +384,7 @@ void gemm_impl(const float* a, std::int64_t lda, std::int64_t m, std::int64_t k,
   // One dispatch resolution per call: every block of this call — across all
   // its tasks and threads — runs the same tier, so a concurrent override
   // cannot split one GEMM across tiers.
-  const detail::KernelOps& ops = active_ops();
+  const detail::KernelOps& ops = detail::active_ops();
   const auto block = [&ops](const float* ba, std::int64_t blda, std::int64_t bk, const float* bb,
                             std::int64_t bldb, float* bc, std::int64_t bldc, const float* bias,
                             Init init, std::int64_t i0, std::int64_t mb, std::int64_t j0,

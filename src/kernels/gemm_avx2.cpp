@@ -24,6 +24,9 @@ struct V8 {
   /// 4-row tiles: 16 YMM registers total, so an 8×2-vector accumulator (16
   /// regs) would spill; 4×2 accumulators + 2 B vectors + 1 broadcast fit.
   static constexpr int kRowsMax = 4;
+  /// Direct-conv chunk: 4 rows × 2 vectors = 8 accumulators + 2 input
+  /// vectors + 2 window masks + 1 broadcast.
+  static constexpr int kDirectVecs = 2;
 
   static Reg zero() { return _mm256_setzero_ps(); }
   static Reg set1(float v) { return _mm256_set1_ps(v); }
@@ -33,6 +36,14 @@ struct V8 {
   static void maskstore(float* p, Mask m, Reg v) { _mm256_maskstore_ps(p, m, v); }
   static Reg broadcast(const float* p) { return _mm256_broadcast_ss(p); }
   static Reg fma(Reg a, Reg b, Reg c) { return _mm256_fmadd_ps(a, b, c); }
+  /// a·b + c in the lanes of m; the other lanes keep c exactly.
+  static Reg mask_fma(Reg a, Reg b, Reg c, Mask m) {
+    return _mm256_blendv_ps(c, _mm256_fmadd_ps(a, b, c), _mm256_castsi256_ps(m));
+  }
+  /// m ? a : b per lane.
+  static Reg select(Mask m, Reg a, Reg b) {
+    return _mm256_blendv_ps(b, a, _mm256_castsi256_ps(m));
+  }
   static Reg add(Reg a, Reg b) { return _mm256_add_ps(a, b); }
   static float first(Reg v) { return _mm256_cvtss_f32(v); }
 
@@ -41,6 +52,14 @@ struct V8 {
     const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
     return _mm256_cmpgt_epi32(_mm256_set1_epi32(n), lanes);
   }
+
+  /// Mask selecting lanes [lo, hi); either bound may lie outside [0, 8].
+  static Mask window(std::int64_t lo, std::int64_t hi) {
+    const __m256i lanes = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+    return _mm256_andnot_si256(
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(lo)), lanes),
+        _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(hi)), lanes));
+  }
 };
 
 const KernelOps kOps = {
@@ -48,6 +67,7 @@ const KernelOps kOps = {
     "avx2",
     &vec::run_block_packed<V8>,
     &vec::run_block_direct<V8>,
+    &vec::conv_direct_rows<V8>,
     &vec::peak_probe<V8>,
     vec::kProbeFlopsPerIterPerLane * V8::kWidth,
 };

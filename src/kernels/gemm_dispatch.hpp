@@ -11,12 +11,14 @@
 // confirmed the silicon executes it.
 //
 // The unit of dispatch is run_block: one task of the engine's fixed
-// batch × row-block × column-block grid (gemm.hpp).  Everything above it —
-// grid geometry, task order, parallelization — is ISA-independent, which is
-// what keeps the determinism contract per tier: for a fixed tier, thread
-// count never changes results.  Everything below it may differ per tier
-// (vector width, FMA contraction), which is why cross-tier comparisons are
-// ULP-bounded rather than exact (DESIGN.md, bit-compatibility policy).
+// batch × row-block × column-block grid (gemm.hpp) — or, for the direct
+// convolution, conv_direct_rows: a block of output rows of one group of up to
+// kMR output channels.  Everything above it — grid geometry, task order,
+// parallelization — is ISA-independent, which is what keeps the determinism
+// contract per tier: for a fixed tier, thread count never changes results.
+// Everything below it may differ per tier (vector width, FMA contraction),
+// which is why cross-tier comparisons are ULP-bounded rather than exact
+// (DESIGN.md, bit-compatibility policy).
 #pragma once
 
 #include <cstdint>
@@ -24,6 +26,19 @@
 #include "kernels/gemm.hpp"
 
 namespace temco::kernels::gemm::detail {
+
+/// A stride-1 dense convolution for the direct conv kernel: NCHW x and out,
+/// the weight [c_out, c_in, kh, kw] read in place (no packed form), one bias
+/// per output channel, symmetric zero padding.
+struct DirectConv {
+  const float* x;
+  const float* w;
+  const float* bias;
+  float* out;
+  std::int64_t c_in, h_in, w_in;
+  std::int64_t c_out, h_out, w_out;
+  std::int64_t kh, kw, pad_h, pad_w;
+};
 
 /// One ISA tier's block-level kernels.
 struct KernelOps {
@@ -45,6 +60,15 @@ struct KernelOps {
                            Init init, std::int64_t i0, std::int64_t mb, std::int64_t j0,
                            std::int64_t nb);
 
+  /// Direct stride-1 convolution: output rows [oh0, oh1) of channels
+  /// [co0, co0 + mr) (mr ≤ kMR) of image n.  Each output element's chain is
+  /// the shifted GEMM's: the bias, then taps (r,s) ascending, then ci
+  /// ascending, with a tap adding only to its valid column window.  Vector
+  /// tiers also split ci into kKCVec strips the way their GEMM tiles do, so
+  /// they equal per-tap gemm_packed calls bitwise.
+  void (*conv_direct_rows)(const DirectConv& conv, std::int64_t n, std::int64_t co0,
+                           std::int64_t mr, std::int64_t oh0, std::int64_t oh1);
+
   /// Register-resident FMA loop for measuring the machine's per-core peak
   /// (bench/kernels_micro's %-of-peak column).  Performs
   /// `iters * probe_flops_per_iter` floating-point operations and defeats
@@ -52,6 +76,10 @@ struct KernelOps {
   void (*peak_probe)(std::int64_t iters);
   double probe_flops_per_iter;
 };
+
+/// The tier the next kernel call runs on (gemm.hpp, active_isa): resolve it
+/// once per call and use that table for every task of the call.
+const KernelOps& active_ops();
 
 /// Per-lane A-packing scratch for the direct-A vector path: each worker
 /// thread (equivalently each ThreadPool lane — a lane is pinned to one OS

@@ -1,8 +1,9 @@
 // Vector micro-kernel template shared by the AVX2 and AVX-512 translation
 // units.  Included ONLY from ISA TUs compiled with the matching target flags;
-// the traits class V supplies the vector type, width, register budget
-// (kRowsMax), loads/stores (masked and full), broadcast, and FMA, so the
-// blocking logic exists once.
+// the traits class V supplies the vector type, width, register budgets
+// (kRowsMax for GEMM tiles, kDirectVecs for direct-conv chunks), loads/stores
+// (masked and full), lane masks (first n lanes, a [lo, hi) window), broadcast,
+// FMA (plain and masked) and a lane select, so the blocking logic exists once.
 //
 // Tile shape: up to V::kRowsMax accumulator rows (4 = one packed panel, 8 =
 // two consecutive panels for twice the B-reuse and FMA chains) × up to two
@@ -100,7 +101,7 @@ inline void tile(const float* apanels, std::int64_t panel_stride, std::int64_t k
         }
         break;
       }
-      case Init::kNone:
+      default:  // Init::kNone; a default label lets GCC see every path seed acc
 #pragma GCC unroll 8
         for (int r = 0; r < ROWS; ++r) {
           if (r < rows_live) {
@@ -264,6 +265,173 @@ void run_block_direct(const float* a, std::int64_t lda, std::int64_t k, const fl
         return static_cast<const float*>(lane);
       },
       k, b, ldb, c, ldc, bias, init, i0, mb, j0, nb);
+}
+
+// ---- direct stride-1 convolution (KernelOps::conv_direct_rows) ------------
+//
+// One call covers a block of output rows of up to kMR output channels.  Each
+// row is cut into chunks of NV ≤ V::kDirectVecs vectors whose MR×NV
+// accumulators stay in registers for the whole tap × ci loop and touch the
+// output once.  Each (tap, ci) step is one shifted, masked load of the input
+// row per vector and one broadcast-weight FMA per accumulator; V::window
+// masks keep every tap to its valid column window, so padding costs no branch
+// and no buffer.  A tap's masks depend only on its column s, so a chunk
+// builds them once for every row of the block.  The chain per output element
+// is the shifted GEMM's (conv.cpp): the bias, taps (r,s) ascending, ci
+// ascending, ci split into kKCVec strips whose partial sums are added the
+// way a later-strip GEMM tile adds them — so the kernel equals per-tap
+// gemm_packed calls bitwise on the same tier.
+
+/// Widest kernel whose per-column tap masks a chunk caches; wider kernels
+/// rebuild a tap's masks at every tap.
+inline constexpr std::int64_t kDirectTapCols = 16;
+
+/// The valid column window of tap column s within the chunk at j0, one mask
+/// per vector.  False when the window misses the chunk.
+template <class V, int NV>
+inline bool tap_window(const detail::DirectConv& cv, std::int64_t s, std::int64_t j0,
+                       typename V::Mask (&mask)[NV]) {
+  const std::int64_t lo = std::max<std::int64_t>(0, cv.pad_w - s) - j0;
+  const std::int64_t hi = std::min(cv.w_out, cv.w_in + cv.pad_w - s) - j0;
+  if (lo >= hi || hi <= 0 || lo >= NV * V::kWidth) return false;
+#pragma GCC unroll 4
+  for (int v = 0; v < NV; ++v) mask[v] = V::window(lo - v * V::kWidth, hi - v * V::kWidth);
+  return true;
+}
+
+/// The MR×NV accumulators of one chunk, for ci in [k0, k1) of one tap.
+/// `xtap` is the tap's shifted input row (channel 0) at the chunk's first
+/// column and `wtap` the tap's weight for (co0, ci = 0).
+template <class V, int MR, int NV>
+inline void direct_chain(typename V::Reg (&acc)[MR][NV], const typename V::Mask (&mask)[NV],
+                         const float* xtap, std::int64_t in_plane, const float* wtap,
+                         std::int64_t co_stride, std::int64_t taps, std::int64_t k0,
+                         std::int64_t k1) {
+  for (std::int64_t ci = k0; ci < k1; ++ci) {
+    const float* xc = xtap + ci * in_plane;
+    typename V::Reg xv[NV];
+#pragma GCC unroll 4
+    for (int v = 0; v < NV; ++v) xv[v] = V::maskload(xc + v * V::kWidth, mask[v]);
+#pragma GCC unroll 4
+    for (int m = 0; m < MR; ++m) {
+      const typename V::Reg wv = V::set1(wtap[m * co_stride + ci * taps]);
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[m][v] = V::mask_fma(wv, xv[v], acc[m][v], mask[v]);
+    }
+  }
+}
+
+/// Columns [j0, j0 + NV·kWidth) ∩ [0, w_out) of output rows [oh0, oh1) for
+/// output channels [co0, co0 + MR) of image n.
+template <class V, int MR, int NV>
+inline void direct_chunk(const detail::DirectConv& cv, std::int64_t n, std::int64_t co0,
+                         std::int64_t oh0, std::int64_t oh1, std::int64_t j0) {
+  constexpr std::int64_t kW = V::kWidth;
+  using Masks = typename V::Mask[NV];
+  const std::int64_t taps = cv.kh * cv.kw;
+  const std::int64_t co_stride = cv.c_in * taps;
+  const std::int64_t in_plane = cv.h_in * cv.w_in;
+  const std::int64_t out_plane = cv.h_out * cv.w_out;
+  const float* ximg = cv.x + n * cv.c_in * in_plane;
+  const float* wgroup = cv.w + co0 * co_stride;
+  float* oblock = cv.out + (n * cv.c_out + co0) * out_plane + j0;
+  const std::int64_t live_cols = cv.w_out - j0;
+
+  Masks table[kDirectTapCols];
+  bool tap_live[kDirectTapCols];
+  const bool cached = cv.kw <= kDirectTapCols;
+  if (cached) {
+    for (std::int64_t s = 0; s < cv.kw; ++s) tap_live[s] = tap_window<V, NV>(cv, s, j0, table[s]);
+  }
+  for (std::int64_t oh = oh0; oh < oh1; ++oh) {
+    typename V::Reg acc[MR][NV];
+#pragma GCC unroll 4
+    for (int m = 0; m < MR; ++m) {
+      const typename V::Reg seed = V::set1(cv.bias[co0 + m]);
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) acc[m][v] = seed;
+    }
+    for (std::int64_t r = 0; r < cv.kh; ++r) {
+      const std::int64_t ih = oh - cv.pad_h + r;
+      if (ih < 0 || ih >= cv.h_in) continue;
+      for (std::int64_t s = 0; s < cv.kw; ++s) {
+        Masks own;
+        if (cached ? !tap_live[s] : !tap_window<V, NV>(cv, s, j0, own)) continue;
+        const Masks& mask = cached ? table[s] : own;
+        const float* xtap = ximg + ih * cv.w_in + (s - cv.pad_w) + j0;
+        const float* wtap = wgroup + r * cv.kw + s;
+        direct_chain<V, MR, NV>(acc, mask, xtap, in_plane, wtap, co_stride, taps, 0,
+                                std::min(kKCVec, cv.c_in));
+        for (std::int64_t k0 = kKCVec; k0 < cv.c_in; k0 += kKCVec) {
+          typename V::Reg part[MR][NV];
+#pragma GCC unroll 4
+          for (int m = 0; m < MR; ++m) {
+#pragma GCC unroll 4
+            for (int v = 0; v < NV; ++v) part[m][v] = V::zero();
+          }
+          direct_chain<V, MR, NV>(part, mask, xtap, in_plane, wtap, co_stride, taps, k0,
+                                  std::min(k0 + kKCVec, cv.c_in));
+#pragma GCC unroll 4
+          for (int m = 0; m < MR; ++m) {
+#pragma GCC unroll 4
+            for (int v = 0; v < NV; ++v) {
+              acc[m][v] = V::select(mask[v], V::add(acc[m][v], part[m][v]), acc[m][v]);
+            }
+          }
+        }
+      }
+    }
+#pragma GCC unroll 4
+    for (int m = 0; m < MR; ++m) {
+      float* crow = oblock + m * out_plane + oh * cv.w_out;
+#pragma GCC unroll 4
+      for (int v = 0; v < NV; ++v) {
+        if (live_cols >= (v + 1) * kW) {
+          V::store(crow + v * kW, acc[m][v]);
+        } else {
+          V::maskstore(crow + v * kW, V::window(0, live_cols - v * kW), acc[m][v]);
+        }
+      }
+    }
+  }
+}
+
+/// Picks the chunk's vector count NV ∈ [1, V::kDirectVecs] at compile time.
+template <class V, int MR, int NV = V::kDirectVecs>
+inline void direct_chunk_nv(int nv, const detail::DirectConv& cv, std::int64_t n,
+                            std::int64_t co0, std::int64_t oh0, std::int64_t oh1,
+                            std::int64_t j0) {
+  if constexpr (NV > 1) {
+    if (nv < NV) {
+      direct_chunk_nv<V, MR, NV - 1>(nv, cv, n, co0, oh0, oh1, j0);
+      return;
+    }
+  }
+  direct_chunk<V, MR, NV>(cv, n, co0, oh0, oh1, j0);
+}
+
+template <class V, int MR>
+inline void direct_rows(const detail::DirectConv& cv, std::int64_t n, std::int64_t co0,
+                        std::int64_t oh0, std::int64_t oh1) {
+  constexpr std::int64_t kChunk = V::kDirectVecs * V::kWidth;
+  for (std::int64_t j0 = 0; j0 < cv.w_out; j0 += kChunk) {
+    const std::int64_t cols = std::min(kChunk, cv.w_out - j0);
+    direct_chunk_nv<V, MR>(static_cast<int>((cols + V::kWidth - 1) / V::kWidth), cv, n, co0,
+                           oh0, oh1, j0);
+  }
+}
+
+/// KernelOps::conv_direct_rows for vector tier V.
+template <class V>
+void conv_direct_rows(const detail::DirectConv& cv, std::int64_t n, std::int64_t co0,
+                      std::int64_t mr, std::int64_t oh0, std::int64_t oh1) {
+  static_assert(kMR == 4, "one instantiation per live row count below");
+  switch (mr) {
+    case 1: direct_rows<V, 1>(cv, n, co0, oh0, oh1); break;
+    case 2: direct_rows<V, 2>(cv, n, co0, oh0, oh1); break;
+    case 3: direct_rows<V, 3>(cv, n, co0, oh0, oh1); break;
+    default: direct_rows<V, 4>(cv, n, co0, oh0, oh1); break;
+  }
 }
 
 /// Peak-FMA probe: 16 independent register-resident FMA chains, long enough

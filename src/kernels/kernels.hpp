@@ -29,17 +29,20 @@ void conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stri
             const float* prepacked = nullptr);
 
 /// Floats of prepack storage conv2d wants for weight w at the given strides
-/// and output width.  Zero means the geometry has no packed form: dense taps
-/// on outputs narrower than a register tile dispatch to the tiled loop, which
-/// reads w in place, instead of a GEMM path.
+/// and output width.  Zero means the geometry has no packed form: multi-tap
+/// convs with w_out < kNR, and stride-1 multi-tap convs with c_out ≤ kMR,
+/// run a direct kernel that reads w in place instead of a GEMM path.
 std::int64_t conv2d_prepack_floats(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
                                    std::int64_t w_out);
 
-/// Packs w into `out` (conv2d_prepack_floats(w, ...) floats).  Stride 1: one
-/// GEMM panel set per kernel tap, taps in (r,s) order, for the shifted-GEMM
-/// path.  Strided: the flattened W[c_out, c_in·kh·kw] view as a single panel
-/// set, for the im2col implicit-GEMM path.
-void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w, float* out);
+/// Packs w into `out` (conv2d_prepack_floats(w, stride_h, stride_w, w_out)
+/// floats).  Stride 1: one GEMM panel set per kernel tap, taps in (r,s)
+/// order, for the shifted-GEMM path.  Strided: the flattened
+/// W[c_out, c_in·kh·kw] view as a single panel set, for the im2col
+/// implicit-GEMM path.  Where that count is 0 it writes nothing (`out` may
+/// be null); elsewhere a null `out` throws.
+void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
+                    std::int64_t w_out, float* out);
 
 /// Depthwise convolution.  w: [C,1,Kh,Kw].
 void depthwise_conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stride_h,

@@ -126,7 +126,7 @@ PackedWeights PackedWeights::build(const ir::Graph& graph) {
     blob.resize(static_cast<std::size_t>(floats));
     if (node.kind == ir::OpKind::kConv2d) {
       kernels::conv2d_prepack(node.weights[0], node.attrs.stride_h, node.attrs.stride_w,
-                              blob.data());
+                              node.out_shape[3], blob.data());
     } else {
       kernels::fused_prepack(node.weights[0], node.weights[2], blob.data());
     }

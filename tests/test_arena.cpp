@@ -129,7 +129,9 @@ void check_width_invariance(const Graph& graph, const std::string& label, bool g
         EXPECT_EQ(max_abs_diff(baseline.outputs[i], got.outputs[i]), 0.0f)
             << cell << ": output " << i << " depends on the intra-op width";
       }
-      if (use_arena) EXPECT_EQ(got.heap_allocations, 0) << cell;
+      if (use_arena) {
+        EXPECT_EQ(got.heap_allocations, 0) << cell;
+      }
     }
   }
 }

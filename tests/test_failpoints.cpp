@@ -80,10 +80,11 @@ Outcome drive(const std::function<void()>& fn) {
   try {
     fn();
     return Outcome::kNoError;
-  } catch (const ExpectedError&) {
-    return Outcome::kExpectedType;
-  } catch (const Error&) {
-    return Outcome::kOtherTemcoError;
+  } catch (const Error& e) {
+    // One handler classifies both, so ExpectedError = Error does not leave
+    // an unreachable second handler behind.
+    return dynamic_cast<const ExpectedError*>(&e) != nullptr ? Outcome::kExpectedType
+                                                             : Outcome::kOtherTemcoError;
   } catch (...) {
     return Outcome::kForeignException;
   }

@@ -77,7 +77,18 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{1, 2, 16, 16, 3, 11, 4, 2},// k=11 stride 4 (AlexNet)
                       ConvCase{3, 6, 6, 6, 6, 3, 1, 0},   // no padding
                       ConvCase{1, 16, 4, 4, 4, 1, 1, 0},  // reducing 1x1 (fconv)
-                      ConvCase{1, 4, 4, 4, 16, 1, 1, 0}));// expanding 1x1 (lconv)
+                      ConvCase{1, 4, 4, 4, 16, 1, 1, 0},  // expanding 1x1 (lconv)
+                      // Tucker cores of the zoo: the direct stride-1 kernel.
+                      ConvCase{2, 1, 64, 64, 1, 3, 1, 1},  // UNet 1->1 at 64x64
+                      ConvCase{2, 2, 64, 64, 1, 3, 1, 1},  // UNet 2->1 at 64x64
+                      ConvCase{2, 3, 32, 32, 2, 3, 1, 1},  // UNet 3->2 at 32x32
+                      ConvCase{2, 6, 16, 16, 3, 3, 1, 1},  // UNet 6->3 at 16x16
+                      ConvCase{2, 2, 7, 7, 2, 3, 1, 1},    // ResNet 2->2 at 7x7
+                      ConvCase{2, 13, 1, 1, 13, 3, 1, 1},  // ResNet 13->13 at 1x1
+                      ConvCase{2, 3, 7, 7, 1, 3, 1, 1},    // DenseNet 3->1 at 7x7
+                      ConvCase{1, 3, 12, 12, 2, 5, 1, 2},  // 5x5 tap
+                      ConvCase{1, 3, 9, 13, 2, 3, 1, 1},   // ragged width 13
+                      ConvCase{1, 2, 5, 33, 3, 3, 1, 1})); // ragged width 33
 
 TEST(Conv2dTest, AsymmetricKernelAndStride) {
   Rng rng(7);

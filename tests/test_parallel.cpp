@@ -2,13 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "kernels/gemm.hpp"
+#include "kernels/kernels.hpp"
 #include "models/zoo.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/thread_pool.hpp"
@@ -294,6 +297,64 @@ TEST(ScopedIntraOpPoolTest, ArenaFusedKernelHonoursTheExecutorsIntraOpWidth) {
   if (global.concurrency() > 1) {
     pooled.run({input});
     EXPECT_GT(global.forked_batches(), before);
+  }
+}
+
+TEST(ScopedIntraOpPoolTest, DirectConvIsBitInvariantToIntraOpWidthAndBatchSize) {
+  // Tucker cores run on the direct conv kernel, one task per (image, output
+  // row, channel group).  Each output element is owned by one task with a
+  // fixed chain, so neither the intra-op width nor the batch the image
+  // arrives in may change a bit — on any tier.
+  struct Core { std::int64_t c_in, c_out, side; };
+  const Core cores[] = {{2, 1, 64}, {6, 3, 16}, {13, 13, 1}, {2, 2, 7}};
+  const std::int64_t batch = 4;
+  ThreadPool narrow(1);
+  ThreadPool wide(4);
+  Rng rng(11);
+  for (const Core& c : cores) {
+    const Tensor x = Tensor::random_normal(Shape{batch, c.c_in, c.side, c.side}, rng);
+    const Tensor w = Tensor::random_normal(Shape{c.c_out, c.c_in, 3, 3}, rng, 0.3f);
+    const Tensor b = Tensor::random_normal(Shape{c.c_out}, rng, 0.1f);
+    const Shape out_shape{batch, c.c_out, c.side, c.side};
+    for (const kernels::gemm::Isa isa : kernels::gemm::reachable_isas()) {
+      kernels::gemm::ScopedIsa forced(isa);
+      const std::string where = std::string(support::isa_name(isa)) + " " +
+                                std::to_string(c.c_in) + "->" + std::to_string(c.c_out) + " @" +
+                                std::to_string(c.side);
+      Tensor serial = Tensor::zeros(out_shape);
+      {
+        ScopedIntraOpPool scope(&narrow);
+        kernels::conv2d(x, w, b, 1, 1, 1, 1, serial);
+      }
+      Tensor pooled = Tensor::zeros(out_shape);
+      const std::uint64_t forks = wide.forked_batches();
+      {
+        ScopedIntraOpPool scope(&wide);
+        kernels::conv2d(x, w, b, 1, 1, 1, 1, pooled);
+      }
+      if (c.side > 1) {
+        EXPECT_GT(wide.forked_batches(), forks) << where << ": never forked";
+      }
+      EXPECT_EQ(std::memcmp(serial.data(), pooled.data(),
+                            static_cast<std::size_t>(serial.numel()) * sizeof(float)),
+                0)
+          << where << ": intra-op width 4 changed the output";
+
+      // Each image alone, as a batch of one, reproduces its slice.
+      const std::int64_t in_image = c.c_in * c.side * c.side;
+      const std::int64_t out_image = c.c_out * c.side * c.side;
+      for (std::int64_t n = 0; n < batch; ++n) {
+        Tensor xi = Tensor::zeros(Shape{1, c.c_in, c.side, c.side});
+        std::memcpy(xi.data(), x.data() + n * in_image,
+                    static_cast<std::size_t>(in_image) * sizeof(float));
+        Tensor single = Tensor::zeros(Shape{1, c.c_out, c.side, c.side});
+        kernels::conv2d(xi, w, b, 1, 1, 1, 1, single);
+        EXPECT_EQ(std::memcmp(single.data(), serial.data() + n * out_image,
+                              static_cast<std::size_t>(out_image) * sizeof(float)),
+                  0)
+            << where << ": image " << n << " alone differs from its batch slice";
+      }
+    }
   }
 }
 

@@ -97,7 +97,7 @@ TEST(BytesTest, FormatsUnits) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer timer;
   volatile double sink = 0.0;
-  for (int i = 0; i < 100000; ++i) sink += i;
+  for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_GE(timer.elapsed_seconds(), 0.0);
   EXPECT_GE(timer.elapsed_ms(), timer.elapsed_seconds());  // ms >= s numerically for t >= 0
 }
