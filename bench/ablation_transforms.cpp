@@ -6,7 +6,6 @@
 // count (a proxy for kernel-launch overhead, the paper's stated motivation
 // for merging).
 #include "bench/common.hpp"
-#include "runtime/scheduler.hpp"
 
 using namespace temco;
 
@@ -69,17 +68,6 @@ int main(int argc, char** argv) {
                 format_bytes(static_cast<std::uint64_t>(decomposed.total_weight_bytes())).c_str(),
                 "-", decomposed.size());
     for (const auto& v : variants) report(name, decomposed, v);
-    // §5 extension: greedy memory-aware re-scheduling on top of full TeMCO.
-    {
-      const auto optimized = core::optimize(decomposed, {});
-      const auto scheduled = runtime::schedule_for_memory(optimized);
-      const auto plan = runtime::plan_memory(scheduled.graph);
-      std::printf("%-14s %-22s %12s %12s %6s %6zu\n", name, "full + scheduler",
-                  format_bytes(static_cast<std::uint64_t>(plan.peak_with_scratch)).c_str(),
-                  format_bytes(static_cast<std::uint64_t>(scheduled.graph.total_weight_bytes()))
-                      .c_str(),
-                  "-", scheduled.graph.size());
-    }
     std::printf("\n");
   }
   return 0;

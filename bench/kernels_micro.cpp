@@ -187,12 +187,12 @@ void conv1x1_zoo() {
               std::exp(log_sum / static_cast<double>(speedups.size())));
 }
 
-/// The conv2d path a multi-tap conv takes, read off its packed size: the
-/// GEMM paths pack the weight, the direct stride-1 kernel and the strided
-/// tiled loop read it in place.
+/// The conv2d path a multi-tap conv takes: every strided conv runs the
+/// im2col GEMM; at stride 1 the shifted GEMM packs the weight and the direct
+/// kernel reads it in place.
 const char* conv_variant(std::int64_t packed_floats, std::int64_t stride) {
-  if (packed_floats == 0) return stride == 1 ? "direct" : "tiled";
-  return stride == 1 ? "shifted-gemm" : "im2col-gemm";
+  if (stride != 1) return "im2col-gemm";
+  return packed_floats == 0 ? "direct" : "shifted-gemm";
 }
 
 void conv_dense() {
@@ -236,39 +236,49 @@ void conv_dense() {
 }
 
 /// The Tucker cores of the fig11 models (resnet18, densenet121, unet_half at
-/// width 0.25, image 32, UNet at 64), each a stride-1 3×3 conv with padding
-/// 1, at batch 4 on a one-thread intra-op pool — the width the fig11
-/// benchmark runs.  Every row but the two 8×8 ones takes the direct kernel.
+/// width 0.25, image 32, UNet at 64, AlexNet at full width), at batch 4 on a
+/// one-thread intra-op pool — the width the fig11 benchmark runs.  The
+/// stride-1 3×3 rows take the direct kernel, all but the two 8×8 ones; the
+/// narrow strided rows (w_out < kNR) take the im2col GEMM's skinny tile.
 void conv_census() {
   temco::ThreadPool serial(1);
   temco::ScopedIntraOpPool scope(&serial);
-  struct Case { std::int64_t c_in, c_out, side; };
+  struct Case { std::int64_t c_in, c_out, side, k = 3, stride = 1, pad = 1; };
   const Case cases[] = {
       {1, 1, 64}, {2, 1, 64}, {1, 2, 32}, {2, 2, 32}, {3, 2, 32}, {2, 3, 16},  // unet_half
       {3, 3, 16}, {6, 3, 16}, {3, 6, 8},  {6, 6, 8},                           // unet_half
       {2, 2, 7},  {3, 3, 4},  {6, 6, 2},  {13, 13, 1},                          // resnet18
       {3, 1, 7},  {3, 1, 3},  {3, 1, 1},                                        // densenet121
+      {2, 3, 7, 3, 2, 1}, {3, 6, 4, 3, 2, 1}, {6, 13, 2, 3, 2, 1},            // resnet18
+      {1, 6, 32, 11, 4, 2},                                                     // alexnet
   };
   const std::int64_t batch = 4;
   for (const Case& c : cases) {
+    const std::int64_t side_out = (c.side + 2 * c.pad - c.k) / c.stride + 1;
     const Tensor x = random(Shape{batch, c.c_in, c.side, c.side}, 14);
-    const Tensor w = random(Shape{c.c_out, c.c_in, 3, 3}, 15);
+    const Tensor w = random(Shape{c.c_out, c.c_in, c.k, c.k}, 15);
     const Tensor b = random(Shape{c.c_out}, 16);
-    Tensor out = Tensor::zeros(Shape{batch, c.c_out, c.side, c.side});
-    const double flops = 2.0 * static_cast<double>(batch * c.c_out * c.c_in * 9 * c.side * c.side);
+    Tensor out = Tensor::zeros(Shape{batch, c.c_out, side_out, side_out});
+    const double flops = 2.0 * static_cast<double>(batch * c.c_out * c.c_in * c.k * c.k *
+                                                   side_out * side_out);
     char shape[64];
-    std::snprintf(shape, sizeof(shape), "b%lld c%lld>%lld@%lldx%lld",
-                  static_cast<long long>(batch), static_cast<long long>(c.c_in),
-                  static_cast<long long>(c.c_out), static_cast<long long>(c.side),
-                  static_cast<long long>(c.side));
+    const int len = std::snprintf(shape, sizeof(shape), "b%lld c%lld>%lld@%lldx%lld",
+                                  static_cast<long long>(batch), static_cast<long long>(c.c_in),
+                                  static_cast<long long>(c.c_out), static_cast<long long>(c.side),
+                                  static_cast<long long>(c.side));
+    if (c.stride != 1) {
+      std::snprintf(shape + len, sizeof(shape) - static_cast<std::size_t>(len), " k%llds%lld",
+                    static_cast<long long>(c.k), static_cast<long long>(c.stride));
+    }
     const double naive_ns = bench_case("core", shape, "naive", flops, 0.0, [&] {
-      kernels::naive::conv2d(x, w, b, 1, 1, 1, 1, out);
+      kernels::naive::conv2d(x, w, b, c.stride, c.stride, c.pad, c.pad, out);
     });
-    const std::int64_t pf = kernels::conv2d_prepack_floats(w, 1, 1, c.side);
+    const std::int64_t pf = kernels::conv2d_prepack_floats(w, c.stride, c.stride, side_out);
     std::vector<float> packed(static_cast<std::size_t>(pf));
-    kernels::conv2d_prepack(w, 1, 1, c.side, packed.data());
-    bench_case("core", shape, conv_variant(pf, 1), flops, naive_ns, [&] {
-      kernels::conv2d(x, w, b, 1, 1, 1, 1, out, pf > 0 ? packed.data() : nullptr);
+    kernels::conv2d_prepack(w, c.stride, c.stride, side_out, packed.data());
+    bench_case("core", shape, conv_variant(pf, c.stride), flops, naive_ns, [&] {
+      kernels::conv2d(x, w, b, c.stride, c.stride, c.pad, c.pad, out,
+                      pf > 0 ? packed.data() : nullptr);
     });
   }
   std::printf("\n");

@@ -16,8 +16,7 @@
 // fails loudly if any point diverges.
 //
 // Output: BENCH_schedule.json (override with --json PATH), one record per
-// model × point.  The cost model calibrates itself from BENCH_kernels.json
-// when present next to the working directory.
+// model × point.
 #include <cstring>
 
 #include "bench/common.hpp"
@@ -80,12 +79,10 @@ int main(int argc, char** argv) {
   }
   auto bench = temco::bench::parse_args(static_cast<int>(rest.size()), rest.data());
 
-  const auto cost_model = runtime::CostModel::from_bench_json("BENCH_kernels.json");
   std::printf("=== Budget-constrained schedule search: peak vs. time Pareto ===\n");
-  std::printf("(width %.3g, image %lld, batch %lld, Tucker ratio %.2g, cost model %s)\n\n",
-              bench.width, static_cast<long long>(bench.image),
-              static_cast<long long>(bench.batch), bench.ratio,
-              cost_model.calibrated() ? "calibrated" : "analytic defaults");
+  std::printf("(width %.3g, image %lld, batch %lld, Tucker ratio %.2g)\n\n", bench.width,
+              static_cast<long long>(bench.image), static_cast<long long>(bench.batch),
+              bench.ratio);
   std::printf("%-14s %-10s %12s %12s %5s %6s %9s %9s %8s\n", "model", "point", "budget",
               "arena", "met", "remat", "pred-slow", "meas-slow", "bitwise");
 
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
     for (const double frac : kFractions) {
       runtime::BudgetOptions options;
       options.max_bytes = static_cast<std::int64_t>(static_cast<double>(unconstrained) * frac);
-      options.cost_model = cost_model;
       const auto result = runtime::schedule_for_budget(optimized, options);
 
       Record r;

@@ -14,9 +14,8 @@
 //     (KernelOps::conv_direct_rows), which reads the weight in place and keeps
 //     a row of up to kMR channels in registers across every tap.  Per-tap
 //     GEMM calls cost more in setup than such a call's arithmetic.
-//   * Strided convolution lowers to an im2col implicit GEMM, or, on rows
-//     narrower than kNR, keeps a direct loop register-tiled over kCoTile
-//     output channels.
+//   * Strided convolution lowers to an im2col implicit GEMM at every row
+//     width; narrow rows run on the GEMM's per-tier skinny tile.
 //
 // Accumulation order per output element is fixed by geometry alone (taps in
 // (r,s) order, channels ascending), so every path is bit-deterministic
@@ -34,21 +33,17 @@ namespace temco::kernels {
 
 namespace {
 
-/// Output channels per register tile of the strided fallback path.
-constexpr std::int64_t kCoTile = 4;
-
 bool is_pointwise(std::int64_t kh, std::int64_t kw, std::int64_t sh, std::int64_t sw,
                   std::int64_t ph, std::int64_t pw) {
   return kh == 1 && kw == 1 && sh == 1 && sw == 1 && ph == 0 && pw == 0;
 }
 
 /// The conv paths, by weight layout: the two GEMM paths consume a packed
-/// blob, the two direct paths read w in place.
+/// blob, the direct path reads w in place.
 enum class ConvPath : std::uint8_t {
   kShiftedGemm,  ///< stride 1: one panel set per tap (a pointwise conv is the 1-tap case)
   kIm2colGemm,   ///< strided: one panel set over the flattened W[c_out, c_in·kh·kw]
   kDirect,       ///< stride 1, multi-tap, c_out ≤ kMR or w_out < kNR: direct vector kernel
-  kTiled,        ///< strided, multi-tap, w_out < kNR: register-tiled scalar loop
 };
 
 /// The one dispatch rule.  conv2d, conv2d_prepack_floats and conv2d_prepack
@@ -57,13 +52,10 @@ enum class ConvPath : std::uint8_t {
 /// count, the ISA tier or the batch size.
 ConvPath conv_path(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
                    std::int64_t w_out) {
+  if (stride_h != 1 || stride_w != 1) return ConvPath::kIm2colGemm;
   const bool one_tap = w.shape()[2] == 1 && w.shape()[3] == 1;
-  const bool narrow = w_out < gemm::kNR;
-  if (stride_h == 1 && stride_w == 1) {
-    return !one_tap && (w.shape()[0] <= gemm::kMR || narrow) ? ConvPath::kDirect
-                                                             : ConvPath::kShiftedGemm;
-  }
-  return !one_tap && narrow ? ConvPath::kTiled : ConvPath::kIm2colGemm;
+  return !one_tap && (w.shape()[0] <= gemm::kMR || w_out < gemm::kNR) ? ConvPath::kDirect
+                                                                      : ConvPath::kShiftedGemm;
 }
 
 /// 1×1 stride-1 convolution: one batched GEMM over the packed weight.
@@ -267,84 +259,6 @@ void conv2d_im2col_strided(const Tensor& x, const Tensor& w, const Tensor& b,
       });
 }
 
-/// Strided fallback: direct loop, register-tiled over kCoTile output maps.
-void conv2d_strided(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stride_h,
-                    std::int64_t stride_w, std::int64_t pad_h, std::int64_t pad_w, Tensor& out) {
-  const std::int64_t n_batch = x.shape()[0];
-  const std::int64_t c_in = x.shape()[1];
-  const std::int64_t h_in = x.shape()[2];
-  const std::int64_t w_in = x.shape()[3];
-  const std::int64_t c_out = out.shape()[1];
-  const std::int64_t h_out = out.shape()[2];
-  const std::int64_t w_out = out.shape()[3];
-  const std::int64_t kh = w.shape()[2];
-  const std::int64_t kw = w.shape()[3];
-  const std::int64_t hw_out = h_out * w_out;  // hoisted out of every loop below
-  const std::int64_t co_blocks = (c_out + kCoTile - 1) / kCoTile;
-  const float* px = x.data();
-  const float* pw = w.data();
-  const float* pb = b.data();
-  float* po = out.data();
-
-  parallel_for_2d(
-      static_cast<std::size_t>(n_batch * co_blocks), static_cast<std::size_t>(kCoTile * hw_out),
-      [&](std::size_t task, std::size_t, std::size_t) {
-        const std::int64_t n = static_cast<std::int64_t>(task) / co_blocks;
-        const std::int64_t co0 = static_cast<std::int64_t>(task) % co_blocks * kCoTile;
-        const std::int64_t mt = std::min(kCoTile, c_out - co0);
-        float* omap[kCoTile] = {};
-        for (std::int64_t t = 0; t < mt; ++t) {
-          omap[t] = po + (n * c_out + co0 + t) * hw_out;
-          std::fill(omap[t], omap[t] + hw_out, pb[co0 + t]);
-        }
-        const float* xbase = px + n * c_in * h_in * w_in;
-        for (std::int64_t ci = 0; ci < c_in; ++ci) {
-          const float* xmap = xbase + ci * h_in * w_in;
-          for (std::int64_t r = 0; r < kh; ++r) {
-            for (std::int64_t s = 0; s < kw; ++s) {
-              float coef[kCoTile] = {};
-              for (std::int64_t t = 0; t < mt; ++t) {
-                coef[t] = pw[(((co0 + t) * c_in + ci) * kh + r) * kw + s];
-              }
-              for (std::int64_t oh = 0; oh < h_out; ++oh) {
-                const std::int64_t ih = oh * stride_h - pad_h + r;
-                if (ih < 0 || ih >= h_in) continue;
-                const float* xrow = xmap + ih * w_in;
-                const std::int64_t base = s - pad_w;
-                std::int64_t ow_lo = 0;
-                if (base < 0) ow_lo = (-base + stride_w - 1) / stride_w;
-                std::int64_t ow_hi = w_out;
-                if (base + (w_out - 1) * stride_w >= w_in) {
-                  ow_hi = (w_in - base + stride_w - 1) / stride_w;
-                }
-                if (mt == kCoTile) {
-                  float* o0 = omap[0] + oh * w_out;
-                  float* o1 = omap[1] + oh * w_out;
-                  float* o2 = omap[2] + oh * w_out;
-                  float* o3 = omap[3] + oh * w_out;
-                  for (std::int64_t ow = ow_lo; ow < ow_hi; ++ow) {
-                    const float xv = xrow[ow * stride_w + base];
-                    o0[ow] += coef[0] * xv;
-                    o1[ow] += coef[1] * xv;
-                    o2[ow] += coef[2] * xv;
-                    o3[ow] += coef[3] * xv;
-                  }
-                } else {
-                  for (std::int64_t t = 0; t < mt; ++t) {
-                    float* orow = omap[t] + oh * w_out;
-                    const float ct = coef[t];
-                    for (std::int64_t ow = ow_lo; ow < ow_hi; ++ow) {
-                      orow[ow] += ct * xrow[ow * stride_w + base];
-                    }
-                  }
-                }
-              }
-            }
-          }
-        }
-      });
-}
-
 }  // namespace
 
 std::int64_t conv2d_prepack_floats(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
@@ -355,8 +269,7 @@ std::int64_t conv2d_prepack_floats(const Tensor& w, std::int64_t stride_h, std::
   switch (conv_path(w, stride_h, stride_w, w_out)) {
     case ConvPath::kShiftedGemm: return taps * gemm::packed_a_floats(c_out, c_in);
     case ConvPath::kIm2colGemm: return gemm::packed_a_floats(c_out, c_in * taps);
-    case ConvPath::kDirect:
-    case ConvPath::kTiled: return 0;
+    case ConvPath::kDirect: return 0;
   }
   return 0;
 }
@@ -368,7 +281,7 @@ void conv2d_prepack(const Tensor& w, std::int64_t stride_h, std::int64_t stride_
   const std::int64_t kh = w.shape()[2];
   const std::int64_t kw = w.shape()[3];
   const ConvPath path = conv_path(w, stride_h, stride_w, w_out);
-  if (path == ConvPath::kDirect || path == ConvPath::kTiled) return;  // no packed form
+  if (path == ConvPath::kDirect) return;  // no packed form
   TEMCO_CHECK(out != nullptr) << "conv2d_prepack: this geometry has a packed form ("
                               << conv2d_prepack_floats(w, stride_h, stride_w, w_out)
                               << " floats) but no buffer was given";
@@ -407,9 +320,6 @@ void conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stri
       break;
     case ConvPath::kDirect:
       conv2d_direct(x, w, b, pad_h, pad_w, out);
-      break;
-    case ConvPath::kTiled:
-      conv2d_strided(x, w, b, stride_h, stride_w, pad_h, pad_w, out);
       break;
   }
 }

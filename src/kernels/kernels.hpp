@@ -29,9 +29,9 @@ void conv2d(const Tensor& x, const Tensor& w, const Tensor& b, std::int64_t stri
             const float* prepacked = nullptr);
 
 /// Floats of prepack storage conv2d wants for weight w at the given strides
-/// and output width.  Zero means the geometry has no packed form: multi-tap
-/// convs with w_out < kNR, and stride-1 multi-tap convs with c_out ≤ kMR,
-/// run a direct kernel that reads w in place instead of a GEMM path.
+/// and output width.  Zero means the geometry has no packed form: stride-1
+/// multi-tap convs with w_out < kNR or c_out ≤ kMR run a direct kernel that
+/// reads w in place instead of a GEMM path.  Every strided conv packs.
 std::int64_t conv2d_prepack_floats(const Tensor& w, std::int64_t stride_h, std::int64_t stride_w,
                                    std::int64_t w_out);
 

@@ -9,8 +9,8 @@
 #include "kernels/kernels.hpp"
 #include "runtime/liveness.hpp"
 #include "runtime/planner.hpp"
-#include "runtime/scheduler.hpp"
 #include "support/align.hpp"
+#include "support/failpoint.hpp"
 #include "support/log.hpp"
 
 namespace temco::runtime {
@@ -20,6 +20,8 @@ namespace {
 using ir::Graph;
 using ir::Node;
 using ir::ValueId;
+
+failpoints::Site fp_drop_node{"scheduler.drop_node"};
 
 /// Trials evaluated per remat round; candidates beyond this (ranked by
 /// bytes-freed per recompute-second) are cheap to re-discover next round if
@@ -52,8 +54,8 @@ struct BeamState {
 };
 
 /// Beam search minimizing (peak-so-far, resident-after) with program order as
-/// the deterministic tie-break — the greedy §2.2 estimator scoring of
-/// schedule_for_memory, kept `width` hypotheses wide.
+/// the deterministic tie-break: the greedy §2.2 estimator scoring, kept
+/// `width` hypotheses wide.
 std::vector<ValueId> beam_order(const Graph& g, std::size_t width) {
   const std::size_t n = g.size();
   const auto users = g.users();
@@ -129,7 +131,11 @@ std::vector<ValueId> beam_order(const Graph& g, std::size_t width) {
     beam = std::move(next);
   }
   // Candidates were sorted, so beam[0] is the best final hypothesis.
-  return beam.front().order;
+  std::vector<ValueId> order = std::move(beam.front().order);
+  if (fp_drop_node.fire() && !order.empty()) order.pop_back();
+  TEMCO_CHECK_AS(order.size() == n, InvalidGraphError)
+      << "budget scheduler lost " << (n - order.size()) << " node(s)";
+  return order;
 }
 
 // ---- greedy §2.2 estimator --------------------------------------------------
@@ -170,7 +176,9 @@ struct SeqItem {
 /// items).  References resolve to the *latest* definition of a source id, so
 /// consumers placed after a remat copy read the copy and everyone else keeps
 /// the original — the rewiring IS the sequence.  Graph outputs always bind to
-/// the original definition (remat never applies to outputs).
+/// the original definition (remat never applies to outputs).  Only ids are
+/// remapped: names, weight tensors (shared, not copied), attrs and kinds
+/// carry over verbatim, so with no remat items this is a pure reorder.
 Graph materialize(const Graph& g, const std::vector<SeqItem>& seq) {
   Graph out;
   std::vector<ValueId> latest(g.size(), ir::kInvalidValue);
@@ -345,10 +353,13 @@ std::int64_t oracle_bytes(const Graph& g, const BudgetOptions& options) {
 }
 
 /// Order-only improvement: beam search, adopted only if the arena oracle
-/// agrees it is no worse than `g` (mirrors schedule_for_memory's fallback).
+/// agrees it is no worse than `g`.
 Graph reorder(const Graph& g, const BudgetOptions& options, std::int64_t& bytes) {
-  const std::vector<ValueId> order = beam_order(g, std::max<std::size_t>(1, options.beam_width));
-  Graph candidate = rebuild_in_order(g, order);
+  std::vector<SeqItem> seq;
+  for (const ValueId id : beam_order(g, std::max<std::size_t>(1, options.beam_width))) {
+    seq.push_back({id, false});
+  }
+  Graph candidate = materialize(g, seq);
   const std::int64_t candidate_bytes = oracle_bytes(candidate, options);
   if (candidate_bytes <= bytes) {
     bytes = candidate_bytes;
@@ -388,19 +399,10 @@ BudgetScheduleResult schedule_for_budget(const ir::Graph& graph, const BudgetOpt
   BudgetScheduleResult result;
   result.budget_bytes = options.max_bytes;
 
-  // Phase 1: reorder only.  Seeded with the better of the input order and the
-  // greedy scheduler, then beam-searched; the oracle arbitrates every switch.
+  // Phase 1: reorder only.  The beam search starts from the input order and
+  // the oracle arbitrates the switch.
   std::int64_t bytes = oracle_bytes(graph, options);
-  Graph current = graph;
-  {
-    Graph greedy = schedule_for_memory(graph).graph;
-    const std::int64_t greedy_bytes = oracle_bytes(greedy, options);
-    if (greedy_bytes < bytes) {
-      bytes = greedy_bytes;
-      current = std::move(greedy);
-    }
-  }
-  current = reorder(current, options, bytes);
+  Graph current = reorder(graph, options, bytes);
   result.unconstrained_arena_bytes = bytes;
   result.achieved_arena_bytes = bytes;
 

@@ -1,9 +1,11 @@
-// Budget-constrained schedule search with rematerialization.
+// Memory-aware schedule search with rematerialization.
 //
-// schedule_for_memory (runtime/scheduler.hpp) asks "how low can the peak go
-// by reordering alone?"; this pass inverts the question the way DLMO-style
-// schedulers and sublinear-memory checkpointing do: given a hard byte budget,
-// search topological orders AND recompute decisions until the arena fits.
+// §5 of the paper points at layer scheduling (Occamy, Pisarchyk & Lee,
+// PockEngine) as the complement to TeMCO's rewrites: the liveness of every
+// tensor — and therefore the peak — depends on the execution order.  This
+// pass asks the question the way DLMO-style schedulers and sublinear-memory
+// checkpointing do: given a hard byte budget (or none), search topological
+// orders AND recompute decisions until the arena fits.
 // TeMCO's skip-connection optimization — re-run a cheap restore layer instead
 // of keeping a wide tensor alive — is one hand-picked point of this space;
 // here the same trade is made wherever the budget demands it, guided by a
@@ -46,8 +48,7 @@ struct BudgetOptions {
   std::int64_t max_bytes = 0;
 
   /// Currency for recompute time: ranks remat candidates and prices the
-  /// reported slowdown.  Calibrate with CostModel::from_bench_json to track
-  /// the machine's measured kernel rates.
+  /// reported slowdown.
   CostModel cost_model;
 
   /// Width of the topological-order beam.  1 degenerates to greedy.

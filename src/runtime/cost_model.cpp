@@ -1,43 +1,8 @@
 #include "runtime/cost_model.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-#include <vector>
-
-#include "support/check.hpp"
-#include "support/log.hpp"
 
 namespace temco::runtime {
-
-namespace {
-
-/// Extracts the string/number value of `"key": ...` from one flat JSON
-/// object.  BENCH_kernels.json is written by our own bench with one record
-/// per line, so a keyed scan is sufficient and keeps the loader dependency-
-/// free; anything surprising simply fails the lookup.
-bool json_field(const std::string& record, const std::string& key, std::string& out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = record.find(needle);
-  if (at == std::string::npos) return false;
-  std::size_t pos = at + needle.size();
-  while (pos < record.size() && std::isspace(static_cast<unsigned char>(record[pos]))) ++pos;
-  if (pos >= record.size()) return false;
-  if (record[pos] == '"') {
-    const std::size_t end = record.find('"', pos + 1);
-    if (end == std::string::npos) return false;
-    out = record.substr(pos + 1, end - pos - 1);
-    return true;
-  }
-  std::size_t end = pos;
-  while (end < record.size() && record[end] != ',' && record[end] != '}') ++end;
-  out = record.substr(pos, end - pos);
-  return true;
-}
-
-}  // namespace
 
 CostClass cost_class_of(ir::OpKind kind) {
   switch (kind) {
@@ -57,52 +22,6 @@ CostModel::CostModel() {
   gflops_[static_cast<std::size_t>(CostClass::kDepthwise)] = 2.0;
   gflops_[static_cast<std::size_t>(CostClass::kMemoryBound)] = 2.0;
   bytes_per_second_ = 8.0e9;
-}
-
-void CostModel::set_gflops(CostClass c, double rate) {
-  TEMCO_CHECK(rate > 0.0) << "cost-model rate must be positive, got " << rate;
-  gflops_[static_cast<std::size_t>(c)] = rate;
-}
-
-CostModel CostModel::from_bench_json(const std::string& path) {
-  CostModel model;
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    TEMCO_INFO() << "cost model: " << path << " not readable, using analytic defaults";
-    return model;
-  }
-  // One record spans one `{...}` group; the bench writes one per line.
-  std::vector<double> gemm_rates;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t open = line.find('{');
-    if (open == std::string::npos) continue;
-    const std::string record = line.substr(open);
-    std::string kernel, variant, gflops;
-    if (!json_field(record, "kernel", kernel) || !json_field(record, "variant", variant) ||
-        !json_field(record, "gflops", gflops)) {
-      continue;
-    }
-    if (variant == "naive") continue;  // the dispatch never runs the naive path
-    if (kernel != "conv1x1" && kernel != "conv2d" && kernel != "matmul") continue;
-    char* end = nullptr;
-    const double rate = std::strtod(gflops.c_str(), &end);
-    if (end == gflops.c_str() || rate <= 0.0) continue;
-    gemm_rates.push_back(rate);
-  }
-  if (gemm_rates.empty()) {
-    TEMCO_INFO() << "cost model: no usable records in " << path << ", using analytic defaults";
-    return model;
-  }
-  // Median across shapes: robust to the handful of cache-resident outliers
-  // the micro-bench sweeps include.
-  std::sort(gemm_rates.begin(), gemm_rates.end());
-  const double median = gemm_rates[gemm_rates.size() / 2];
-  model.set_gflops(CostClass::kGemm, median);
-  model.calibrated_ = true;
-  TEMCO_INFO() << "cost model: calibrated GEMM rate " << median << " GFLOP/s from "
-               << gemm_rates.size() << " records in " << path;
-  return model;
 }
 
 double CostModel::node_seconds(const ir::Graph& graph, const ir::Node& node) const {

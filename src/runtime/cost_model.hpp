@@ -4,10 +4,8 @@
 // resident bytes, so it needs a currency for "time" that is cheap enough to
 // evaluate thousands of candidate schedules: a roofline estimate per node —
 // FLOPs against an attainable compute rate, moved bytes against an attainable
-// bandwidth, whichever binds.  The rates default to conservative
-// single-thread figures for this codebase's kernels and can be *calibrated*
-// from a BENCH_kernels.json produced by bench/kernels_micro, so the model
-// tracks the machine the compiler actually runs on instead of a guess.
+// bandwidth, whichever binds.  The rates are fixed, conservative
+// single-thread figures for this codebase's kernels.
 //
 // The model is deliberately analytic, not a timer: it ranks rematerialization
 // candidates and reports predicted slowdown; the bench
@@ -16,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "ir/graph.hpp"
 
@@ -35,24 +32,14 @@ CostClass cost_class_of(ir::OpKind kind);
 
 class CostModel {
  public:
-  /// Conservative single-thread defaults (GEMM well below the micro-bench
-  /// numbers, so an uncalibrated model over-prices recompute rather than
-  /// under-pricing it).
+  /// Conservative single-thread rates (GEMM well below the micro-bench
+  /// numbers, so the model over-prices recompute rather than under-pricing
+  /// it).
   CostModel();
-
-  /// Calibrates the GEMM rate from a BENCH_kernels.json written by
-  /// bench/kernels_micro: the median achieved GFLOP/s of the non-naive
-  /// conv/matmul variants becomes the kGemm rate.  Unreadable or unparseable
-  /// files leave the defaults untouched (returned model is always usable);
-  /// `calibrated()` tells the caller which happened.
-  static CostModel from_bench_json(const std::string& path);
-
-  bool calibrated() const { return calibrated_; }
 
   /// Attainable rate for one class: GFLOP/s for compute classes, GiB/s-
   /// equivalent FLOP rate for the memory-bound class.
   double gflops(CostClass c) const { return gflops_[static_cast<std::size_t>(c)]; }
-  void set_gflops(CostClass c, double rate);
 
   /// Roofline estimate of one node's execution time.  Inputs, weights, and
   /// the output each cross memory once; FLOPs come from Graph::node_flops.
@@ -65,7 +52,6 @@ class CostModel {
  private:
   double gflops_[kCostClassCount];
   double bytes_per_second_ = 0.0;
-  bool calibrated_ = false;
 };
 
 }  // namespace temco::runtime

@@ -68,8 +68,10 @@ inline constexpr char kArtifactMagic[8] = {'T', 'M', 'C', 'O', 'A', 'R', 'T', '\
 /// temco_artifact golden) and keep the old golden checked in: the version-
 /// skew test proves the new loader still *rejects* it with a typed error.
 /// History: v1 — initial container; v2 — meta section gains the arena-budget
-/// stamps (CompileOptions::max_arena_bytes, TemcoOptions::max_arena_bytes).
-inline constexpr std::uint32_t kArtifactFormatVersion = 2;
+/// stamps (CompileOptions::max_arena_bytes, TemcoOptions::max_arena_bytes);
+/// v3 — every strided conv packs its weight for the im2col GEMM, so narrow
+/// strided convs (w_out < kNR) now store packed blobs where v2 stored none.
+inline constexpr std::uint32_t kArtifactFormatVersion = 3;
 
 /// Section identifiers; see the file-layout comment above.
 enum class ArtifactSection : std::uint32_t {

@@ -19,9 +19,9 @@
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
 #include "runtime/arena.hpp"
+#include "runtime/budget.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/planner.hpp"
-#include "runtime/scheduler.hpp"
 #include "support/align.hpp"
 #include "support/failpoint.hpp"
 #include "support/rng.hpp"
@@ -246,11 +246,11 @@ TEST(ArenaExecutorTest, TimelineMatchesReferenceExecutor) {
 }
 
 TEST(ArenaExecutorTest, ComposesWithMemoryScheduler) {
-  // The scheduler reorders the node list; the arena must pack the reordered
-  // liveness correctly.
+  // The schedule search reorders the node list; the arena must pack the
+  // reordered liveness correctly.
   const auto config = zoo_config();
   const auto g = models::build_unet(true, config);
-  const auto scheduled = runtime::schedule_for_memory(g);
+  const auto scheduled = runtime::schedule_for_budget(g);
   check_differential(scheduled.graph, "unet_half/scheduled");
 }
 

@@ -262,7 +262,7 @@ TEST(ArtifactRoundTrip, FileLoadBorrowsPackedWeightsZeroCopy) {
 // ---- version skew -----------------------------------------------------------
 
 std::string golden_path() {
-  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v2.bin";
+  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v3.bin";
 }
 
 // The checked-in golden (written by `temco_artifact golden` at v-current)
@@ -283,21 +283,25 @@ TEST(ArtifactVersionSkew, GoldenArtifactLoads) {
   }
 }
 
-// The previous format's golden stays checked in precisely so this test can
-// exist: a v1 file (meta lacks the v2 arena-budget stamps) must fail closed
-// with a typed error naming both versions, never be half-parsed.
+// The previous formats' goldens stay checked in precisely so this test can
+// exist: a v1 file (meta lacks the v2 arena-budget stamps) and a v2 file (its
+// narrow strided conv stores no packed blob) must fail closed with a typed
+// error naming both versions, never be half-parsed.
 TEST(ArtifactVersionSkew, PreviousVersionGoldenRejectedNamingBothVersions) {
-  const std::string v1_path = std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v1.bin";
-  const std::string bytes = read_file(v1_path);
-  try {
-    serve::load_artifact_bytes(bytes.data(), bytes.size());
-    FAIL() << "v1 artifact should not load in a v2 runtime";
-  } catch (const InvalidGraphError& e) {
-    const std::string message = e.what();
-    EXPECT_NE(std::string::npos, message.find("v1")) << message;
-    EXPECT_NE(std::string::npos,
-              message.find("v" + std::to_string(serve::kArtifactFormatVersion)))
-        << message;
+  for (const std::string old_version : {"v1", "v2"}) {
+    const std::string bytes = read_file(std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_" +
+                                        old_version + ".bin");
+    try {
+      serve::load_artifact_bytes(bytes.data(), bytes.size());
+      ADD_FAILURE() << old_version << " artifact should not load in a v"
+                    << serve::kArtifactFormatVersion << " runtime";
+    } catch (const InvalidGraphError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(std::string::npos, message.find(old_version)) << message;
+      EXPECT_NE(std::string::npos,
+                message.find("v" + std::to_string(serve::kArtifactFormatVersion)))
+          << message;
+    }
   }
 }
 

@@ -44,7 +44,7 @@
 
 #include "decomp/pass.hpp"
 #include "models/zoo.hpp"
-#include "runtime/scheduler.hpp"
+#include "runtime/budget.hpp"
 #include "serve/fleet.hpp"
 #include "serve/session.hpp"
 #include "serve_invariants.hpp"
@@ -220,7 +220,7 @@ TEST(ChaosSweepTest, EveryFailpointUnderConcurrentServingLoad) {
         for (std::int64_t probe_i = 0; probe_i < plan.skips + plan.count; ++probe_i) {
           try {
             if (plan.site == "scheduler.drop_node") {
-              (void)runtime::schedule_for_memory(graph);
+              (void)runtime::schedule_for_budget(graph);
             } else {
               runtime::Executor probe_executor(graph, {.use_arena = true});
             }

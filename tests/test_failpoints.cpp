@@ -20,8 +20,8 @@
 #include "kernels/gemm.hpp"
 #include "models/zoo.hpp"
 #include "parallel/thread_pool.hpp"
+#include "runtime/budget.hpp"
 #include "runtime/executor.hpp"
-#include "runtime/scheduler.hpp"
 #include "serve/compiled_model.hpp"
 #include "serve/session.hpp"
 #include "support/error.hpp"
@@ -132,7 +132,7 @@ const std::map<std::string, FailpointCase>& failpoint_cases() {
        }}},
       {"scheduler.drop_node",
        {[](const ir::Graph& g) {
-         return drive<InvalidGraphError>([&] { runtime::schedule_for_memory(g); });
+         return drive<InvalidGraphError>([&] { runtime::schedule_for_budget(g); });
        }}},
       {"parallel.task_throw",
        {[](const ir::Graph& g) {

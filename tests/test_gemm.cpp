@@ -233,9 +233,9 @@ TEST(ShiftedGemmConvTest, StridedPathMatchesRetainedNaiveKernel) {
   Tensor got = Tensor::zeros(expected.shape());
   kernels::conv2d(x, w, b, 2, 2, 1, 1, got);
   EXPECT_LT(max_abs_diff(got, expected), 2e-4f);
-  // w_out = 6 < kNR: the narrow strided conv runs the tiled loop, which has no
-  // packed form (a strided conv with w_out >= kNR packs for its im2col GEMM).
-  EXPECT_EQ(kernels::conv2d_prepack_floats(w, 2, 2, h_out), 0);
+  // w_out = 6 < kNR: a narrow strided conv still packs the flattened
+  // W[c_out, c_in·kh·kw] for its im2col GEMM, like every strided conv.
+  EXPECT_EQ(kernels::conv2d_prepack_floats(w, 2, 2, h_out), gemm::packed_a_floats(6, 45));
 }
 
 // ---- linalg::matmul now rides the engine -----------------------------------
@@ -255,8 +255,8 @@ TEST(ExecutorPrepackTest, PackedBytesReportedSeparatelyAndOutputsBitIdentical) {
   config.batch = 1;
   config.width = 0.25;
   // Large enough that stride-1 convs keep w_out >= kNR after the stem
-  // downsampling — otherwise every node dispatches to the tiled path and no
-  // packed blobs exist.
+  // downsampling — otherwise they all dispatch to the direct kernel and only
+  // the strided convs pack.
   config.image = 64;
   const ir::Graph graph = models::build_resnet(18, config);
   Rng rng(71);

@@ -86,6 +86,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvCase{2, 2, 7, 7, 2, 3, 1, 1},    // ResNet 2->2 at 7x7
                       ConvCase{2, 13, 1, 1, 13, 3, 1, 1},  // ResNet 13->13 at 1x1
                       ConvCase{2, 3, 7, 7, 1, 3, 1, 1},    // DenseNet 3->1 at 7x7
+                      // Narrow strided cores of the zoo (w_out < kNR): the
+                      // im2col GEMM on the per-tier skinny tile.
+                      ConvCase{2, 2, 7, 7, 3, 3, 2, 1},     // ResNet 2->3 at 7x7
+                      ConvCase{2, 3, 4, 4, 6, 3, 2, 1},     // ResNet 3->6 at 4x4
+                      ConvCase{2, 6, 2, 2, 13, 3, 2, 1},    // ResNet 6->13 at 2x2
+                      ConvCase{2, 1, 32, 32, 6, 11, 4, 2},  // AlexNet 1->6 stem, w_out 7
                       ConvCase{1, 3, 12, 12, 2, 5, 1, 2},  // 5x5 tap
                       ConvCase{1, 3, 9, 13, 2, 3, 1, 1},   // ragged width 13
                       ConvCase{1, 2, 5, 33, 3, 3, 1, 1})); // ragged width 33
