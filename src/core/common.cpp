@@ -1,6 +1,7 @@
 // Shared predicates, stats formatting, and dead-code elimination.
 #include <sstream>
 
+#include "core/rebuild.hpp"
 #include "core/temco.hpp"
 
 namespace temco::core {
@@ -49,27 +50,14 @@ ir::Graph eliminate_dead_code(const ir::Graph& graph, OptimizeStats* stats) {
     }
   }
   // Graph inputs are part of the interface; keep them even if unread.
+  detail::Rewrite dead;
   for (const ir::Node& node : graph.nodes()) {
-    if (node.kind == ir::OpKind::kInput) live[static_cast<std::size_t>(node.id)] = true;
-  }
-
-  ir::Graph out;
-  std::vector<ir::ValueId> remap(graph.size(), ir::kInvalidValue);
-  int removed = 0;
-  for (const ir::Node& node : graph.nodes()) {
-    if (!live[static_cast<std::size_t>(node.id)]) {
-      ++removed;
-      continue;
+    if (!live[static_cast<std::size_t>(node.id)] && node.kind != ir::OpKind::kInput) {
+      dead.removes.push_back(node.id);
     }
-    ir::Node copy = node;
-    for (ir::ValueId& in : copy.inputs) in = remap[static_cast<std::size_t>(in)];
-    remap[static_cast<std::size_t>(node.id)] = out.append(std::move(copy));
   }
-  std::vector<ir::ValueId> outputs;
-  for (const ir::ValueId o : graph.outputs()) outputs.push_back(remap[static_cast<std::size_t>(o)]);
-  out.set_outputs(std::move(outputs));
-  out.infer_shapes();
-  out.verify();
+  const int removed = static_cast<int>(dead.removes.size());
+  ir::Graph out = detail::rebuild(graph, {std::move(dead)});
   if (stats != nullptr) stats->dce_removed += removed;
   return out;
 }

@@ -4,8 +4,9 @@
 // and replaces them with one kFusedConvActConv node.  The full-width tensors
 // between lconv and fconv (Output1/Input2 in Fig. 3b) disappear from the
 // graph entirely — the fused kernel reconstructs them row by row in scratch.
-#include <optional>
-
+// Chains that share a node (an expanding 1×1 that both ends one chain and
+// starts the next) fuse the earlier one: the driver keeps the first match in
+// schedule order, and the fused node then starts no chain of its own.
 #include "core/rebuild.hpp"
 #include "core/temco.hpp"
 #include "support/log.hpp"
@@ -18,18 +19,7 @@ using ir::Graph;
 using ir::Node;
 using ir::OpKind;
 using ir::ValueId;
-
-struct FusionMatch {
-  ValueId lconv;
-  ValueId act;
-  ValueId pool = ir::kInvalidValue;  // optional
-  ValueId fconv;
-  ir::ActKind act_kind;
-};
-
-bool single_user(const std::vector<std::vector<ValueId>>& users, const Graph& graph, ValueId id) {
-  return users[static_cast<std::size_t>(id)].size() == 1 && !graph.is_output(id);
-}
+using detail::single_user;
 
 /// The fused kernel handles square pooling windows (the models' 2×2/2 and
 /// 3×3/2 pools); anything else is left unfused.
@@ -38,70 +28,47 @@ bool fusable_pool(const Node& node) {
          node.attrs.pool_sh == node.attrs.pool_sw;
 }
 
-std::optional<FusionMatch> match_at(const Graph& graph,
-                                    const std::vector<std::vector<ValueId>>& users,
-                                    const Node& lconv) {
+std::optional<detail::Rewrite> match_fusion(const Graph& graph, const detail::Users& users,
+                                            const Node& lconv) {
   if (!is_lconv(lconv) || !single_user(users, graph, lconv.id)) return std::nullopt;
   const Node& act = graph.node(users[static_cast<std::size_t>(lconv.id)][0]);
   if (act.kind != OpKind::kRelu && act.kind != OpKind::kSilu) return std::nullopt;
   if (!single_user(users, graph, act.id)) return std::nullopt;
-
-  FusionMatch match;
-  match.lconv = lconv.id;
-  match.act = act.id;
-  match.act_kind = act.kind == OpKind::kRelu ? ir::ActKind::kRelu : ir::ActKind::kSilu;
+  const ir::ActKind act_kind = act.kind == OpKind::kRelu ? ir::ActKind::kRelu : ir::ActKind::kSilu;
 
   // The consumer must be pointwise (1×1, stride 1, unpadded); channel ratio
   // does not matter for correctness or memory — the full-width intermediate
   // disappears either way (DenseNet bottlenecks expand, fconvs reduce).
-  const Node& next = graph.node(users[static_cast<std::size_t>(act.id)][0]);
-  if (fusable_pool(next)) {
-    if (!single_user(users, graph, next.id)) return std::nullopt;
-    const Node& after_pool = graph.node(users[static_cast<std::size_t>(next.id)][0]);
-    if (!is_pointwise_conv(after_pool)) return std::nullopt;
-    match.pool = next.id;
-    match.fconv = after_pool.id;
-    return match;
+  const Node* pool = nullptr;
+  const Node* fconv = &graph.node(users[static_cast<std::size_t>(act.id)][0]);
+  if (fusable_pool(*fconv)) {
+    if (!single_user(users, graph, fconv->id)) return std::nullopt;
+    pool = fconv;
+    fconv = &graph.node(users[static_cast<std::size_t>(pool->id)][0]);
   }
-  if (!is_pointwise_conv(next)) return std::nullopt;
-  match.fconv = next.id;
-  return match;
-}
+  if (!is_pointwise_conv(*fconv)) return std::nullopt;
 
-std::optional<Graph> try_fuse_one(const Graph& graph, OptimizeStats& st) {
-  const auto users = graph.users();
-  for (const Node& node : graph.nodes()) {
-    const auto match = match_at(graph, users, node);
-    if (!match.has_value()) continue;
-
-    std::unordered_set<ValueId> elide{match->lconv, match->act, match->fconv};
-    if (match->pool != ir::kInvalidValue) elide.insert(match->pool);
-
-    Graph out = detail::rebuild_with_replacement(
-        graph, elide, match->fconv, [&](Graph& g, std::vector<ValueId>& remap) {
-          const Node& l = graph.node(match->lconv);
-          const Node& f = graph.node(match->fconv);
-          const bool has_pool = match->pool != ir::kInvalidValue;
-          ir::PoolKind pool_kind = ir::PoolKind::kMax;
-          std::int64_t pool_k = 2;
-          std::int64_t pool_s = 2;
-          if (has_pool) {
-            const Node& p = graph.node(match->pool);
-            pool_kind = p.attrs.pool_kind;
-            pool_k = p.attrs.pool_kh;
-            pool_s = p.attrs.pool_sh;
-          }
-          const ValueId fused = g.fused_conv_act_conv(
-              remap[static_cast<std::size_t>(l.inputs[0])], l.weights[0].clone(),
-              l.weights[1].clone(), f.weights[0].clone(), f.weights[1].clone(), match->act_kind,
-              has_pool, pool_kind, pool_k, pool_s, l.name + ".fused");
-          g.node(fused).original_flops = l.original_flops;
-          remap[static_cast<std::size_t>(match->fconv)] = fused;
-        });
-    ++st.fused_kernels;
-    return out;
-  }
-  return std::nullopt;
+  detail::Rewrite rewrite;
+  rewrite.removes = {lconv.id, act.id, fconv->id};
+  if (pool != nullptr) rewrite.removes.push_back(pool->id);
+  rewrite.anchor = fconv->id;
+  rewrite.emit = [&lconv, pool, fconv, act_kind](Graph& g, std::vector<ValueId>& remap) {
+    ir::PoolKind pool_kind = ir::PoolKind::kMax;
+    std::int64_t pool_k = 2;
+    std::int64_t pool_s = 2;
+    if (pool != nullptr) {
+      pool_kind = pool->attrs.pool_kind;
+      pool_k = pool->attrs.pool_kh;
+      pool_s = pool->attrs.pool_sh;
+    }
+    const ValueId fused = g.fused_conv_act_conv(
+        remap[static_cast<std::size_t>(lconv.inputs[0])], lconv.weights[0].clone(),
+        lconv.weights[1].clone(), fconv->weights[0].clone(), fconv->weights[1].clone(), act_kind,
+        pool != nullptr, pool_kind, pool_k, pool_s, lconv.name + ".fused");
+    g.node(fused).original_flops = lconv.original_flops;
+    remap[static_cast<std::size_t>(fconv->id)] = fused;
+  };
+  return rewrite;
 }
 
 }  // namespace
@@ -112,10 +79,9 @@ ir::Graph fuse_activations(const ir::Graph& graph, const TemcoOptions& options,
   OptimizeStats local;
   OptimizeStats& st = stats != nullptr ? *stats : local;
 
-  Graph current = graph;
-  while (auto next = try_fuse_one(current, st)) current = std::move(*next);
+  Graph fused = detail::rewrite(graph, {{match_fusion, &st.fused_kernels}});
   TEMCO_INFO() << "fusion: " << st.fused_kernels << " fused kernels";
-  return current;
+  return fused;
 }
 
 }  // namespace temco::core

@@ -6,7 +6,6 @@
 // that proves each pass preserved the model's outputs on random inputs.
 #include "core/pass_manager.hpp"
 #include "core/temco.hpp"
-#include "runtime/budget.hpp"
 #include "support/log.hpp"
 
 namespace temco::core {
@@ -39,21 +38,6 @@ ir::Graph optimize(const ir::Graph& graph, const TemcoOptions& options, Optimize
     });
   }
   manager.add_pass("dce", [&st](const ir::Graph& g) { return eliminate_dead_code(g, &st); });
-  if (options.max_arena_bytes > 0) {
-    // After the rewrites so the search sees the graph the sessions will run.
-    // A pass like any other: the verify/oracle guardrails prove the searched
-    // schedule (remat duplicates included) preserves the model's outputs.
-    manager.add_pass("budget_schedule", [&options](const ir::Graph& g) {
-      runtime::BudgetOptions budget;
-      budget.max_bytes = options.max_arena_bytes;
-      runtime::BudgetScheduleResult scheduled = runtime::schedule_for_budget(g, budget);
-      TEMCO_CHECK_AS(scheduled.met, ResourceExhaustedError)
-          << "arena budget of " << options.max_arena_bytes
-          << " B is unmeetable: best achievable peak is " << scheduled.achieved_arena_bytes
-          << " B after " << scheduled.remat_rounds << " rematerialization round(s)";
-      return std::move(scheduled.graph);
-    });
-  }
 
   ir::Graph current = manager.run(graph);
   TEMCO_INFO() << "temco: " << st.to_string();

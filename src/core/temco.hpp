@@ -6,6 +6,11 @@
 //   2. layer transformations         (§3.3, concat/add ⇄ merged-lconv)
 //   3. activation layer fusion       (§3.2, Listing 1 kernels)
 //   4. dead-code elimination of values the rewrites orphaned
+// Passes 2 and 3 and the rebuild of pass 4 go through one rewrite driver
+// (core/rebuild.hpp): each sweep applies every non-overlapping match of a
+// pattern and rebuilds the graph once.  An arena budget is not a pipeline
+// concern: serving caps the slab with serve::CompileOptions::max_arena_bytes,
+// and other callers run runtime::schedule_for_budget on the result.
 // Every rewrite is semantics-preserving: the optimized graph computes the
 // same outputs as the input graph (up to float reassociation inside fused
 // kernels), which is the paper's accuracy-preservation claim.
@@ -43,14 +48,6 @@ struct TemcoOptions {
   /// Structural bound on restore-list length; deeper chains are rejected
   /// outright (they would be rejected by the compute check anyway).
   int max_restore_depth = 24;
-
-  /// Hard cap on the arena slab of the emitted graph
-  /// (runtime::plan_arena(...).arena_bytes).  When > 0, a final
-  /// "budget_schedule" pass runs runtime::schedule_for_budget — beam-searched
-  /// reordering plus rematerialization — and optimize() raises a typed
-  /// ResourceExhaustedError naming the best achievable peak if the budget
-  /// cannot be met.  0 (default) = unconstrained, no extra pass.
-  std::int64_t max_arena_bytes = 0;
 
   // ---- semantics-preservation guardrails (core/pass_manager.hpp) ----------
 
@@ -97,7 +94,8 @@ ir::Graph optimize(const ir::Graph& graph, const TemcoOptions& options = {},
 ir::Graph optimize_skip_connections(const ir::Graph& graph, const TemcoOptions& options,
                                     OptimizeStats* stats = nullptr);
 
-/// §3.3 layer transformations (concat split, merged lconv, add merge).
+/// §3.3 layer transformations (upsample commute, add merge, merged lconv,
+/// concat split), applied in that priority order until none matches.
 ir::Graph transform_layers(const ir::Graph& graph, const TemcoOptions& options,
                            OptimizeStats* stats = nullptr);
 
@@ -105,7 +103,8 @@ ir::Graph transform_layers(const ir::Graph& graph, const TemcoOptions& options,
 ir::Graph fuse_activations(const ir::Graph& graph, const TemcoOptions& options,
                            OptimizeStats* stats = nullptr);
 
-/// Removes values with no users that are not graph outputs (fixpoint).
+/// Removes every node no graph output transitively reads (graph inputs
+/// stay), in one rebuild.
 ir::Graph eliminate_dead_code(const ir::Graph& graph, OptimizeStats* stats = nullptr);
 
 /// Algorithm 2's structural lconv test: 1×1 kernel, stride 1, no padding,

@@ -1,6 +1,8 @@
 // §3.3 layer transformations around concat and add joins.
 //
-// Three rewrites, each semantics-preserving linear algebra on 1×1 convs:
+// Four rewrites, each semantics-preserving linear algebra on 1×1 convs, run
+// through the rewrite driver (core/rebuild.hpp) in priority order (D), (C),
+// (B), (A) — one kind per sweep, restarting at (D) after any sweep applies:
 //
 //  (A) concat split (Fig. 9b → 9c):  fconv(concat(x₁..x_k)) =
 //      add(fconv₁(x₁), .., fconv_k(x_k)) with the weight split along input
@@ -13,6 +15,9 @@
 //
 //  (C) add merge:  add(l₁(r₁), l₂(r₂)) = l_m(concat(r₁, r₂)) with the
 //      weights concatenated along input channels and biases summed.
+//
+//  (D) upsample commute:  conv(upsample(x)) = upsample(conv(x)) for a
+//      pointwise conv, which then runs at low resolution.
 #include <algorithm>
 #include <optional>
 
@@ -28,10 +33,7 @@ using ir::Graph;
 using ir::Node;
 using ir::OpKind;
 using ir::ValueId;
-
-bool single_user(const std::vector<std::vector<ValueId>>& users, const Graph& graph, ValueId id) {
-  return users[static_cast<std::size_t>(id)].size() == 1 && !graph.is_output(id);
-}
+using detail::single_user;
 
 /// Horizontal concatenation of 1×1 conv weights: [C, R₁] ⊕ [C, R₂] → [C, ΣR].
 Tensor hconcat_weights(const Graph& graph, const std::vector<ValueId>& lconvs) {
@@ -98,131 +100,101 @@ Tensor concat_biases(const Graph& graph, const std::vector<ValueId>& lconvs) {
 /// True for convs the merge transforms may treat as restore lconvs.  Slices
 /// produced by the concat split are tagged kFconv and excluded — merging a
 /// split back would re-create the pattern the split just removed and the
-/// fixpoint loop would oscillate forever.
+/// rewrite loop would oscillate forever.
 bool mergeable_lconv(const Node& node) {
   return is_lconv(node) && node.provenance != ir::Provenance::kFconv;
 }
 
-std::optional<Graph> try_add_merge(const Graph& graph, OptimizeStats& st) {
-  const auto users = graph.users();
-  for (const Node& node : graph.nodes()) {
-    if (node.kind != OpKind::kAdd) continue;
-    bool all_lconv = true;
-    for (const ValueId in : node.inputs) {
-      if (!mergeable_lconv(graph.node(in)) || !single_user(users, graph, in)) all_lconv = false;
-    }
-    if (!all_lconv) continue;
-
-    std::unordered_set<ValueId> elide(node.inputs.begin(), node.inputs.end());
-    elide.insert(node.id);
-    const std::vector<ValueId> lconvs(node.inputs.begin(), node.inputs.end());
-    const ValueId add_id = node.id;
-
-    Graph out = detail::rebuild_with_replacement(
-        graph, elide, add_id, [&](Graph& g, std::vector<ValueId>& remap) {
-          std::vector<ValueId> reduced;
-          std::int64_t original_flops = 0;
-          for (const ValueId l : lconvs) {
-            reduced.push_back(remap[static_cast<std::size_t>(graph.node(l).inputs[0])]);
-            original_flops += graph.node(l).original_flops;
-          }
-          const ValueId rc = g.concat(reduced, graph.node(add_id).name + ".reduced_concat");
-          // Summed biases: add(l₁+b₁, l₂+b₂) carries b₁+b₂ once.
-          Tensor bias = Tensor::zeros(Shape{graph.node(lconvs[0]).weights[1].shape()[0]});
-          for (const ValueId l : lconvs) {
-            const Tensor& bl = graph.node(l).weights[1];
-            for (std::int64_t i = 0; i < bias.numel(); ++i) bias.data()[i] += bl.data()[i];
-          }
-          const ValueId lm = g.conv2d(rc, hconcat_weights(graph, lconvs), std::move(bias), 1, 0,
-                                      graph.node(add_id).name + ".merged_lconv");
-          g.node(lm).provenance = ir::Provenance::kLconv;
-          g.node(lm).original_flops = original_flops;
-          remap[static_cast<std::size_t>(add_id)] = lm;
-        });
-    ++st.add_merges;
-    return out;
+std::optional<detail::Rewrite> match_add_merge(const Graph& graph, const detail::Users& users,
+                                               const Node& add) {
+  if (add.kind != OpKind::kAdd) return std::nullopt;
+  for (const ValueId in : add.inputs) {
+    if (!mergeable_lconv(graph.node(in)) || !single_user(users, graph, in)) return std::nullopt;
   }
-  return std::nullopt;
+
+  detail::Rewrite rewrite;
+  rewrite.removes = add.inputs;
+  rewrite.removes.push_back(add.id);
+  rewrite.anchor = add.id;
+  rewrite.emit = [&graph, &add](Graph& g, std::vector<ValueId>& remap) {
+    const std::vector<ValueId>& lconvs = add.inputs;
+    std::vector<ValueId> reduced;
+    std::int64_t original_flops = 0;
+    for (const ValueId l : lconvs) {
+      reduced.push_back(remap[static_cast<std::size_t>(graph.node(l).inputs[0])]);
+      original_flops += graph.node(l).original_flops;
+    }
+    const ValueId rc = g.concat(reduced, add.name + ".reduced_concat");
+    // Summed biases: add(l₁+b₁, l₂+b₂) carries b₁+b₂ once.
+    Tensor bias = Tensor::zeros(Shape{graph.node(lconvs[0]).weights[1].shape()[0]});
+    for (const ValueId l : lconvs) {
+      const Tensor& bl = graph.node(l).weights[1];
+      for (std::int64_t i = 0; i < bias.numel(); ++i) bias.data()[i] += bl.data()[i];
+    }
+    const ValueId lm = g.conv2d(rc, hconcat_weights(graph, lconvs), std::move(bias), 1, 0,
+                                add.name + ".merged_lconv");
+    g.node(lm).provenance = ir::Provenance::kLconv;
+    g.node(lm).original_flops = original_flops;
+    remap[static_cast<std::size_t>(add.id)] = lm;
+  };
+  return rewrite;
 }
 
 // ---- (B) merged lconv across concat ----------------------------------------
 
-struct MergedConcatMatch {
-  ValueId concat_id;
-  std::vector<ValueId> acts;
-  std::vector<ValueId> lconvs;
-  ir::ActKind act;
-};
-
-std::optional<MergedConcatMatch> match_merged_concat(
-    const Graph& graph, const std::vector<std::vector<ValueId>>& users, const Node& node) {
-  if (node.kind != OpKind::kConcat) return std::nullopt;
+std::optional<detail::Rewrite> match_merged_concat(const Graph& graph,
+                                                   const detail::Users& users,
+                                                   const Node& concat) {
+  if (concat.kind != OpKind::kConcat) return std::nullopt;
   // The join must feed exactly one pointwise conv for the merge to pay off
   // (that conv is what the merged sequence's fused kernel will absorb).
-  if (users[static_cast<std::size_t>(node.id)].size() != 1 || graph.is_output(node.id)) {
-    return std::nullopt;
-  }
-  if (!is_pointwise_conv(graph.node(users[static_cast<std::size_t>(node.id)][0]))) {
+  if (!single_user(users, graph, concat.id) ||
+      !is_pointwise_conv(graph.node(users[static_cast<std::size_t>(concat.id)][0]))) {
     return std::nullopt;
   }
 
-  MergedConcatMatch match;
-  match.concat_id = node.id;
-  bool first = true;
-  for (const ValueId in : node.inputs) {
+  std::vector<ValueId> lconvs;
+  ir::ActKind act_kind = ir::ActKind::kRelu;
+  detail::Rewrite rewrite;
+  for (const ValueId in : concat.inputs) {
     const Node& act = graph.node(in);
     if ((act.kind != OpKind::kRelu && act.kind != OpKind::kSilu) ||
         !single_user(users, graph, in)) {
       return std::nullopt;
     }
     const ir::ActKind kind = act.kind == OpKind::kRelu ? ir::ActKind::kRelu : ir::ActKind::kSilu;
-    if (first) {
-      match.act = kind;
-      first = false;
-    } else if (match.act != kind) {
+    if (lconvs.empty()) {
+      act_kind = kind;
+    } else if (act_kind != kind) {
       return std::nullopt;  // Fig. 9a needs identical activations
     }
     const ValueId l = act.inputs[0];
     if (!mergeable_lconv(graph.node(l)) || !single_user(users, graph, l)) return std::nullopt;
-    match.acts.push_back(in);
-    match.lconvs.push_back(l);
+    rewrite.removes.push_back(in);
+    lconvs.push_back(l);
   }
-  return match;
-}
 
-std::optional<Graph> try_merged_concat(const Graph& graph, OptimizeStats& st) {
-  const auto users = graph.users();
-  for (const Node& node : graph.nodes()) {
-    const auto match = match_merged_concat(graph, users, node);
-    if (!match.has_value()) continue;
-
-    std::unordered_set<ValueId> elide(match->acts.begin(), match->acts.end());
-    elide.insert(match->lconvs.begin(), match->lconvs.end());
-    elide.insert(match->concat_id);
-
-    Graph out = detail::rebuild_with_replacement(
-        graph, elide, match->concat_id, [&](Graph& g, std::vector<ValueId>& remap) {
-          std::vector<ValueId> reduced;
-          std::int64_t original_flops = 0;
-          for (const ValueId l : match->lconvs) {
-            reduced.push_back(remap[static_cast<std::size_t>(graph.node(l).inputs[0])]);
-            original_flops += graph.node(l).original_flops;
-          }
-          const std::string& base = graph.node(match->concat_id).name;
-          const ValueId rc = g.concat(reduced, base + ".reduced_concat");
-          const ValueId lm = g.conv2d(rc, block_diag_weights(graph, match->lconvs),
-                                      concat_biases(graph, match->lconvs), 1, 0,
-                                      base + ".merged_lconv");
-          g.node(lm).provenance = ir::Provenance::kLconv;
-          g.node(lm).original_flops = original_flops;
-          const ValueId am = match->act == ir::ActKind::kRelu ? g.relu(lm, base + ".merged_act")
-                                                              : g.silu(lm, base + ".merged_act");
-          remap[static_cast<std::size_t>(match->concat_id)] = am;
-        });
-    ++st.lconv_merges;
-    return out;
-  }
-  return std::nullopt;
+  rewrite.removes.insert(rewrite.removes.end(), lconvs.begin(), lconvs.end());
+  rewrite.removes.push_back(concat.id);
+  rewrite.anchor = concat.id;
+  rewrite.emit = [&graph, &concat, lconvs, act_kind](Graph& g, std::vector<ValueId>& remap) {
+    std::vector<ValueId> reduced;
+    std::int64_t original_flops = 0;
+    for (const ValueId l : lconvs) {
+      reduced.push_back(remap[static_cast<std::size_t>(graph.node(l).inputs[0])]);
+      original_flops += graph.node(l).original_flops;
+    }
+    const std::string& base = concat.name;
+    const ValueId rc = g.concat(reduced, base + ".reduced_concat");
+    const ValueId lm = g.conv2d(rc, block_diag_weights(graph, lconvs),
+                                concat_biases(graph, lconvs), 1, 0, base + ".merged_lconv");
+    g.node(lm).provenance = ir::Provenance::kLconv;
+    g.node(lm).original_flops = original_flops;
+    const ValueId am = act_kind == ir::ActKind::kRelu ? g.relu(lm, base + ".merged_act")
+                                                      : g.silu(lm, base + ".merged_act");
+    remap[static_cast<std::size_t>(concat.id)] = am;
+  };
+  return rewrite;
 }
 
 // ---- (D) upsample / pointwise-conv commutation ------------------------------
@@ -233,94 +205,78 @@ std::optional<Graph> try_merged_concat(const Graph& graph, OptimizeStats& st) {
 // graph (UNet decoders) and often leaves the conv adjacent to an
 // lconv-activation pair, unlocking fusion.
 
-std::optional<Graph> try_upsample_commute(const Graph& graph, OptimizeStats& st) {
-  const auto users = graph.users();
-  for (const Node& node : graph.nodes()) {
-    if (node.kind != OpKind::kUpsample) continue;
-    if (!single_user(users, graph, node.id)) continue;
-    const ValueId conv_id = users[static_cast<std::size_t>(node.id)][0];
-    const Node& conv = graph.node(conv_id);
-    if (!is_pointwise_conv(conv)) continue;
+std::optional<detail::Rewrite> match_upsample_commute(const Graph& graph,
+                                                      const detail::Users& users,
+                                                      const Node& up) {
+  if (up.kind != OpKind::kUpsample || !single_user(users, graph, up.id)) return std::nullopt;
+  const Node& conv = graph.node(users[static_cast<std::size_t>(up.id)][0]);
+  if (!is_pointwise_conv(conv)) return std::nullopt;
 
-    std::unordered_set<ValueId> elide{node.id, conv_id};
-    const ValueId up_id = node.id;
-    Graph out = detail::rebuild_with_replacement(
-        graph, elide, conv_id, [&](Graph& g, std::vector<ValueId>& remap) {
-          const Node& up = graph.node(up_id);
-          const ValueId low_res_conv =
-              g.conv2d(remap[static_cast<std::size_t>(up.inputs[0])], conv.weights[0].clone(),
-                       conv.weights[1].clone(), 1, 0, conv.name + ".pre_up");
-          g.node(low_res_conv).provenance = conv.provenance;
-          g.node(low_res_conv).original_flops = conv.original_flops;
-          const ValueId new_up =
-              g.upsample(low_res_conv, up.attrs.upsample_factor, up.name + ".post_conv");
-          remap[static_cast<std::size_t>(conv_id)] = new_up;
-        });
-    ++st.upsample_commutes;
-    return out;
-  }
-  return std::nullopt;
+  detail::Rewrite rewrite;
+  rewrite.removes = {up.id, conv.id};
+  rewrite.anchor = conv.id;
+  rewrite.emit = [&up, &conv](Graph& g, std::vector<ValueId>& remap) {
+    const ValueId low_res_conv =
+        g.conv2d(remap[static_cast<std::size_t>(up.inputs[0])], conv.weights[0].clone(),
+                 conv.weights[1].clone(), 1, 0, conv.name + ".pre_up");
+    g.node(low_res_conv).provenance = conv.provenance;
+    g.node(low_res_conv).original_flops = conv.original_flops;
+    remap[static_cast<std::size_t>(conv.id)] =
+        g.upsample(low_res_conv, up.attrs.upsample_factor, up.name + ".post_conv");
+  };
+  return rewrite;
 }
 
 // ---- (A) concat split -------------------------------------------------------
 
-std::optional<Graph> try_concat_split(const Graph& graph, OptimizeStats& st) {
-  const auto users = graph.users();
-  for (const Node& node : graph.nodes()) {
-    if (node.kind != OpKind::kConcat) continue;
-    if (users[static_cast<std::size_t>(node.id)].size() != 1 || graph.is_output(node.id)) continue;
-    const ValueId fconv_id = users[static_cast<std::size_t>(node.id)][0];
-    const Node& fconv = graph.node(fconv_id);
-    if (!is_pointwise_conv(fconv)) continue;
-    // Never split a conv the merge transforms just created (kLconv tag): the
-    // pair of rewrites would undo each other indefinitely.
-    if (fconv.provenance == ir::Provenance::kLconv) continue;
+std::optional<detail::Rewrite> match_concat_split(const Graph& graph, const detail::Users& users,
+                                                  const Node& concat) {
+  if (concat.kind != OpKind::kConcat || !single_user(users, graph, concat.id)) return std::nullopt;
+  const Node& fconv = graph.node(users[static_cast<std::size_t>(concat.id)][0]);
+  if (!is_pointwise_conv(fconv)) return std::nullopt;
+  // Never split a conv the merge transforms just created (kLconv tag): the
+  // pair of rewrites would undo each other indefinitely.
+  if (fconv.provenance == ir::Provenance::kLconv) return std::nullopt;
 
-    std::unordered_set<ValueId> elide{node.id, fconv_id};
-    const ValueId concat_id = node.id;
-
-    Graph out = detail::rebuild_with_replacement(
-        graph, elide, fconv_id, [&](Graph& g, std::vector<ValueId>& remap) {
-          const Tensor& w = fconv.weights[0];
-          const std::int64_t c_out = w.shape()[0];
-          const std::int64_t c_in_total = w.shape()[1];
-          // Accumulate with a left-fold chain of binary adds rather than one
-          // wide add: the chain keeps at most two partial sums live at a
-          // time, so splitting never inflates the peak (k simultaneous
-          // partials of C_out channels can exceed the concat it replaced).
-          ValueId acc = ir::kInvalidValue;
-          std::int64_t offset = 0;
-          for (std::size_t i = 0; i < graph.node(concat_id).inputs.size(); ++i) {
-            const ValueId x = graph.node(concat_id).inputs[i];
-            const std::int64_t c = graph.node(x).out_shape[1];
-            // Slice the fconv weight along input channels.
-            Tensor wi = Tensor::zeros(Shape{c_out, c, 1, 1});
-            for (std::int64_t co = 0; co < c_out; ++co) {
-              for (std::int64_t j = 0; j < c; ++j) {
-                wi.data()[co * c + j] = w.data()[co * c_in_total + offset + j];
-              }
-            }
-            offset += c;
-            // The bias is added exactly once (on the first partial sum).
-            Tensor bi = i == 0 ? fconv.weights[1].clone()
-                               : Tensor::zeros(Shape{c_out});
-            const ValueId part =
-                g.conv2d(remap[static_cast<std::size_t>(x)], std::move(wi), std::move(bi), 1, 0,
-                         fconv.name + ".split" + std::to_string(i));
-            // Split slices are channel-reducing pieces of an fconv; the tag
-            // keeps the merge transforms from treating them as restore
-            // lconvs (which would oscillate with this split).
-            g.node(part).provenance = ir::Provenance::kFconv;
-            acc = acc == ir::kInvalidValue
-                      ? part
-                      : g.add({acc, part}, fconv.name + ".split_add" + std::to_string(i));
-          }
-          remap[static_cast<std::size_t>(fconv_id)] = acc;
-        });
-    ++st.concat_splits;
-    return out;
-  }
-  return std::nullopt;
+  detail::Rewrite rewrite;
+  rewrite.removes = {concat.id, fconv.id};
+  rewrite.anchor = fconv.id;
+  rewrite.emit = [&graph, &concat, &fconv](Graph& g, std::vector<ValueId>& remap) {
+    const Tensor& w = fconv.weights[0];
+    const std::int64_t c_out = w.shape()[0];
+    const std::int64_t c_in_total = w.shape()[1];
+    // Accumulate with a left-fold chain of binary adds rather than one
+    // wide add: the chain keeps at most two partial sums live at a
+    // time, so splitting never inflates the peak (k simultaneous
+    // partials of C_out channels can exceed the concat it replaced).
+    ValueId acc = ir::kInvalidValue;
+    std::int64_t offset = 0;
+    for (std::size_t i = 0; i < concat.inputs.size(); ++i) {
+      const ValueId x = concat.inputs[i];
+      const std::int64_t c = graph.node(x).out_shape[1];
+      // Slice the fconv weight along input channels.
+      Tensor wi = Tensor::zeros(Shape{c_out, c, 1, 1});
+      for (std::int64_t co = 0; co < c_out; ++co) {
+        for (std::int64_t j = 0; j < c; ++j) {
+          wi.data()[co * c + j] = w.data()[co * c_in_total + offset + j];
+        }
+      }
+      offset += c;
+      // The bias is added exactly once (on the first partial sum).
+      Tensor bi = i == 0 ? fconv.weights[1].clone() : Tensor::zeros(Shape{c_out});
+      const ValueId part = g.conv2d(remap[static_cast<std::size_t>(x)], std::move(wi),
+                                    std::move(bi), 1, 0, fconv.name + ".split" + std::to_string(i));
+      // Split slices are channel-reducing pieces of an fconv; the tag
+      // keeps the merge transforms from treating them as restore
+      // lconvs (which would oscillate with this split).
+      g.node(part).provenance = ir::Provenance::kFconv;
+      acc = acc == ir::kInvalidValue
+                ? part
+                : g.add({acc, part}, fconv.name + ".split_add" + std::to_string(i));
+    }
+    remap[static_cast<std::size_t>(fconv.id)] = acc;
+  };
+  return rewrite;
 }
 
 }  // namespace
@@ -330,18 +286,13 @@ ir::Graph transform_layers(const ir::Graph& graph, const TemcoOptions& options,
   OptimizeStats local;
   OptimizeStats& st = stats != nullptr ? *stats : local;
 
-  Graph current = graph;
-  // Apply one rewrite at a time to fixpoint; merged-lconv (when preferred)
-  // and add-merge fire before the split so joins become single sequences.
-  for (;;) {
-    std::optional<Graph> next;
-    if (!next) next = try_upsample_commute(current, st);
-    if (!next) next = try_add_merge(current, st);
-    if (!next && options.prefer_merged_lconv) next = try_merged_concat(current, st);
-    if (!next) next = try_concat_split(current, st);
-    if (!next) break;
-    current = std::move(*next);
-  }
+  // Add-merge and merged-lconv (when preferred) outrank the split so joins
+  // become single sequences.
+  std::vector<detail::Pattern> patterns = {{match_upsample_commute, &st.upsample_commutes},
+                                           {match_add_merge, &st.add_merges}};
+  if (options.prefer_merged_lconv) patterns.push_back({match_merged_concat, &st.lconv_merges});
+  patterns.push_back({match_concat_split, &st.concat_splits});
+  Graph current = detail::rewrite(graph, patterns);
   TEMCO_INFO() << "transforms: " << st.concat_splits << " splits, " << st.lconv_merges
                << " lconv merges, " << st.add_merges << " add merges";
   return current;

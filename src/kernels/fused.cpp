@@ -12,8 +12,7 @@
 // tile.  Each output element therefore gets the same accumulation chain as
 // in the unfused conv2d → act → [pool] → conv2d sequence: on a vector tier
 // the two are bitwise-equal, and on the scalar tier they differ only by
-// where the skinny and full tiles add the bias.  The two scratch modes below
-// stay bitwise-identical.
+// where the skinny and full tiles add the bias.
 #include <algorithm>
 #include <limits>
 #include <vector>
@@ -81,7 +80,7 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
 
   // One task per (batch, output row); a worker's scratch is reused across the
   // rows it processes.  Row results do not depend on how rows are grouped
-  // into workers, so both scratch modes below are bitwise-identical.
+  // into workers, so the result does not depend on the scratch mode.
   auto process_rows = [&](std::size_t begin, std::size_t end, float* restored, float* pooled) {
         gemm::GemmOptions lconv_options;
         lconv_options.bias = pb1;
@@ -157,40 +156,36 @@ void fused_conv_act_conv(const Tensor& x, const Tensor& w1, const Tensor& b1, co
   };
 
   const std::size_t tasks = static_cast<std::size_t>(n_batch * h_out);
-  if (scratch != nullptr) {
-    // Arena mode: rows are striped statically over preplanned scratch slots;
-    // nothing is allocated.  The stripes never outnumber the resolved pool's
-    // lanes, so an executor's intra_op_threads bounds this kernel like every
-    // other.
-    TEMCO_CHECK(scratch_slots >= 1 && scratch_slot_floats >= restored_floats + pooled_floats)
-        << "fused kernel scratch region too small: " << scratch_slot_floats << " floats/slot, need "
-        << restored_floats + pooled_floats;
-    ThreadPool& pool = resolve_pool();
-    const std::size_t slots =
-        std::min({scratch_slots, std::max<std::size_t>(tasks, 1), pool.concurrency()});
-    auto run_slot = [&](std::size_t slot, std::size_t begin, std::size_t end) {
-      float* base = scratch + static_cast<std::int64_t>(slot) * scratch_slot_floats;
-      process_rows(begin, end, base, base + restored_floats);
-    };
-    if (slots == 1) {
-      run_slot(0, 0, tasks);
-    } else {
-      const std::size_t chunk = (tasks + slots - 1) / slots;
-      pool.run(slots, [&](std::size_t slot) {
-        const std::size_t begin = slot * chunk;
-        const std::size_t end = std::min(tasks, begin + chunk);
-        if (begin < end) run_slot(slot, begin, end);
-      });
-    }
+  // Rows are striped statically over scratch slots.  The stripes never
+  // outnumber the resolved pool's lanes, so an executor's intra_op_threads
+  // bounds this kernel like every other.  Arena mode passes preplanned slots
+  // and allocates nothing; otherwise one local buffer holds the slots.
+  ThreadPool& pool = resolve_pool();
+  std::vector<float> local_scratch;
+  if (scratch == nullptr) {
+    scratch_slot_floats = restored_floats + pooled_floats;
+    scratch_slots = std::min(std::max<std::size_t>(tasks, 1), pool.concurrency());
+    local_scratch.resize(scratch_slots * static_cast<std::size_t>(scratch_slot_floats));
+    scratch = local_scratch.data();
+  }
+  TEMCO_CHECK(scratch_slots >= 1 && scratch_slot_floats >= restored_floats + pooled_floats)
+      << "fused kernel scratch region too small: " << scratch_slot_floats << " floats/slot, need "
+      << restored_floats + pooled_floats;
+  const std::size_t slots =
+      std::min({scratch_slots, std::max<std::size_t>(tasks, 1), pool.concurrency()});
+  auto run_slot = [&](std::size_t slot, std::size_t begin, std::size_t end) {
+    float* base = scratch + static_cast<std::int64_t>(slot) * scratch_slot_floats;
+    process_rows(begin, end, base, base + restored_floats);
+  };
+  if (slots == 1) {
+    run_slot(0, 0, tasks);
   } else {
-    parallel_for_ranges(
-        tasks,
-        [&](std::size_t begin, std::size_t end) {
-          std::vector<float> restored(static_cast<std::size_t>(restored_floats));
-          std::vector<float> pooled(static_cast<std::size_t>(pooled_floats));
-          process_rows(begin, end, restored.data(), pooled.data());
-        },
-        ParallelOptions{.grain = 1});
+    const std::size_t chunk = (tasks + slots - 1) / slots;
+    pool.run(slots, [&](std::size_t slot) {
+      const std::size_t begin = slot * chunk;
+      const std::size_t end = std::min(tasks, begin + chunk);
+      if (begin < end) run_slot(slot, begin, end);
+    });
   }
 }
 

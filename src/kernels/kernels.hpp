@@ -88,11 +88,12 @@ void softmax(const Tensor& x, Tensor& out);
 /// materialized — only a per-row scratch of C′·W floats exists at a time,
 /// mirroring the tile buffers the CUDA kernel keeps in shared memory.
 ///
-/// Scratch policy: with `scratch == nullptr` each worker allocates its own
-/// row buffers (the measured framework model).  An arena-backed executor
-/// instead passes a preplanned region of `scratch_slots` slots, each
-/// `scratch_slot_floats` floats, and the kernel runs without touching the
-/// heap; the two modes produce bitwise-identical outputs.
+/// Scratch policy: rows are striped statically over scratch slots, one per
+/// pool lane at most.  An arena-backed executor passes a preplanned region of
+/// `scratch_slots` slots, each `scratch_slot_floats` floats, and the kernel
+/// runs without touching the heap; with `scratch == nullptr` the kernel
+/// allocates one local buffer of min(rows, pool lanes) slots (the measured
+/// framework model).  The two modes produce bitwise-identical outputs.
 ///
 /// Both 1×1 products run on the packed GEMM micro-kernels for every row
 /// width, so on a vector ISA tier the output is bitwise-equal to the unfused

@@ -238,15 +238,10 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
     }
   }
 
-  // The arena never frees, so the Fig.-4 series cannot be measured here; it
-  // is taken from the analytic planner, which the reference executor matches
-  // step for step (asserted in tests).
-  const MemoryPlan plan = plan_memory(graph_);
-  planned_peak_ = plan.peak_internal_bytes;
-  planned_timeline_.reserve(plan.steps.size());
-  for (const PlanStep& step : plan.steps) {
-    planned_timeline_.push_back(StepTrace{step.id, step.live_after, step.step_peak});
-  }
+  // The arena never frees, so the internal-tensor peak cannot be measured
+  // here; it is taken from the analytic planner, which the reference
+  // executor matches step for step (asserted in tests).
+  planned_peak_ = plan_memory(graph_).peak_internal_bytes;
 }
 
 void Executor::check_inputs(const std::vector<Tensor>& inputs) const {
@@ -462,7 +457,6 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
   result.packed_weight_bytes = prepack_->bytes;
   result.arena_bytes = plan_.arena_bytes;
   result.heap_allocations = 0;
-  result.timeline = planned_timeline_;
   // Outputs are copied out of the slab (it is overwritten by the next run).
   for (std::size_t i = 0; i < outputs.size(); ++i) {
     const Tensor& src = bound_[static_cast<std::size_t>(graph_.outputs()[i])];

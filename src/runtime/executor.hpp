@@ -49,7 +49,11 @@ struct ExecutionResult {
   std::int64_t packed_weight_bytes = 0;
   std::int64_t arena_bytes = 0;          ///< slab size; 0 on the reference path
   std::int64_t heap_allocations = 0;     ///< per-node tensor allocations this run (arena: 0)
-  std::vector<StepTrace> timeline;       ///< per-node live-byte series (Fig. 4)
+  /// Per-node live-byte series (Fig. 4), measured by the reference path.
+  /// Empty on the arena path, which never frees and would otherwise copy
+  /// the planner's series into every run; runtime::plan_memory(graph).steps
+  /// is that series.
+  std::vector<StepTrace> timeline;
   double wall_seconds = 0.0;
 };
 
@@ -220,7 +224,6 @@ class Executor {
   Buffer slab_;                                   ///< one aligned allocation, reused per run
   std::vector<Tensor> bound_;                     ///< per-value views into the slab
   std::vector<std::vector<const Tensor*>> args_;  ///< prebuilt kernel input lists
-  std::vector<StepTrace> planned_timeline_;       ///< analytic Fig.-4 series (no tracking)
   std::int64_t planned_peak_ = 0;
 };
 

@@ -96,7 +96,6 @@ void write_meta(Writer& out, const CompiledModel& model) {
   out.pod(t.compute_threshold_scale);
   out.pod(t.memory_slack);
   out.pod(static_cast<std::int32_t>(t.max_restore_depth));
-  out.pod(t.max_arena_bytes);  // v2: pipeline-level budget knob
   write_bool(out, t.verify_passes);
   write_bool(out, t.numeric_oracle);
   out.pod(t.oracle_tolerance);
@@ -141,9 +140,6 @@ MetaCounts read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats
   t.compute_threshold_scale = in.pod<double>();
   t.memory_slack = in.pod<double>();
   t.max_restore_depth = in.pod<std::int32_t>();
-  t.max_arena_bytes = in.pod<std::int64_t>();
-  TEMCO_CHECK_AS(t.max_arena_bytes >= 0 && t.max_arena_bytes <= kMaxPlanBytes, InvalidGraphError)
-      << "implausible pipeline arena budget " << t.max_arena_bytes;
   t.verify_passes = read_bool(in, "meta.verify_passes");
   t.numeric_oracle = read_bool(in, "meta.numeric_oracle");
   t.oracle_tolerance = in.pod<double>();

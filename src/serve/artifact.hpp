@@ -70,8 +70,10 @@ inline constexpr char kArtifactMagic[8] = {'T', 'M', 'C', 'O', 'A', 'R', 'T', '\
 /// History: v1 — initial container; v2 — meta section gains the arena-budget
 /// stamps (CompileOptions::max_arena_bytes, TemcoOptions::max_arena_bytes);
 /// v3 — every strided conv packs its weight for the im2col GEMM, so narrow
-/// strided convs (w_out < kNR) now store packed blobs where v2 stored none.
-inline constexpr std::uint32_t kArtifactFormatVersion = 3;
+/// strided convs (w_out < kNR) now store packed blobs where v2 stored none;
+/// v4 — meta drops the pipeline-level budget (TemcoOptions::max_arena_bytes
+/// is gone), leaving CompileOptions::max_arena_bytes as the one budget stamp.
+inline constexpr std::uint32_t kArtifactFormatVersion = 4;
 
 /// Section identifiers; see the file-layout comment above.
 enum class ArtifactSection : std::uint32_t {

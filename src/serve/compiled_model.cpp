@@ -23,21 +23,13 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
   // is batch-independent, so optimizing at batch 1 and restamping is
   // equivalent to optimizing each variant — minus max_batch-1 pipeline runs.
   ir::Graph base = ir::rebatched(graph, 1);
-  if (options.optimize) {
-    // The pipeline's own budget pass would search the batch-1 graph; compile
-    // searches the max_batch variant below (the one that sizes the slab), so
-    // it is suppressed here and the stamped options_ keep the user's intent.
-    core::TemcoOptions temco = options.temco;
-    temco.max_arena_bytes = 0;
-    base = core::optimize(base, temco, &model->stats_);
-  }
+  if (options.optimize) base = core::optimize(base, options.temco, &model->stats_);
   base.verify();
 
   runtime::ArenaOptions arena_options;
   if (options.arena_canaries) arena_options.canary_bytes = kTensorAlignment;
 
-  const std::int64_t budget =
-      options.max_arena_bytes > 0 ? options.max_arena_bytes : options.temco.max_arena_bytes;
+  const std::int64_t budget = options.max_arena_bytes;
   if (budget > 0) {
     // Search the widest variant: its plan is the slab every session allocates.
     // The budget-meeting order (remat duplicates included) de-batches back to

@@ -59,10 +59,10 @@ struct CompileOptions {
   /// When > 0, compile() runs runtime::schedule_for_budget on the max_batch
   /// variant (the one that sizes the slab) and bakes the budget-meeting
   /// schedule into every variant; an unmeetable budget raises
-  /// ResourceExhaustedError naming the best achievable slab.  Takes
-  /// precedence over temco.max_arena_bytes (compile's own search already
-  /// covers the pipeline's pass).  Artifacts stamp the value; outputs stay
-  /// bitwise-identical to the unconstrained schedule.  0 = unconstrained.
+  /// ResourceExhaustedError naming the best achievable slab.  The pipeline
+  /// itself has no budget knob; this is the one.  Artifacts stamp the value;
+  /// outputs stay bitwise-identical to the unconstrained schedule.
+  /// 0 = unconstrained.
   std::int64_t max_arena_bytes = 0;
 };
 

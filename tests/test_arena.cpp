@@ -229,8 +229,10 @@ TEST(ArenaExecutorTest, OutputsSurviveExecutorDestruction) {
 }
 
 TEST(ArenaExecutorTest, TimelineMatchesReferenceExecutor) {
-  // The arena reports the analytic Fig.-4 series; the reference executor
-  // measures it.  They must agree step for step.
+  // The arena reports the analytic peak; the reference executor measures it.
+  // The Fig.-4 series is the reference path's alone: arena runs carry an
+  // empty timeline (the planner's series equals the reference one step for
+  // step, asserted in test_runtime and test_property).
   const auto config = zoo_config();
   const auto g = models::build_resnet(18, config);
   Rng rng(7004);
@@ -238,11 +240,8 @@ TEST(ArenaExecutorTest, TimelineMatchesReferenceExecutor) {
   const auto ref = runtime::execute(g, {input});
   const auto got = runtime::execute(g, {input}, {.use_arena = true});
   EXPECT_EQ(ref.peak_internal_bytes, got.peak_internal_bytes);
-  ASSERT_EQ(ref.timeline.size(), got.timeline.size());
-  for (std::size_t i = 0; i < ref.timeline.size(); ++i) {
-    EXPECT_EQ(ref.timeline[i].live_bytes_after, got.timeline[i].live_bytes_after) << "step " << i;
-    EXPECT_EQ(ref.timeline[i].step_peak_bytes, got.timeline[i].step_peak_bytes) << "step " << i;
-  }
+  EXPECT_EQ(ref.timeline.size(), g.size());
+  EXPECT_TRUE(got.timeline.empty());
 }
 
 TEST(ArenaExecutorTest, ComposesWithMemoryScheduler) {

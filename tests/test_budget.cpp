@@ -14,8 +14,7 @@
 //       and the search meets the raw 50% budget on at least half the zoo
 //   B5  serving plumbing: CompileOptions::max_arena_bytes caps the session
 //       slab, stamps artifacts through save/load, bounds SessionPool residency,
-//       and raises ResourceExhaustedError naming the best achievable slab;
-//       core::optimize honors TemcoOptions::max_arena_bytes the same way
+//       and raises ResourceExhaustedError naming the best achievable slab
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -522,31 +521,6 @@ TEST(CompileBudgetTest, GenerousBudgetCompilesUnchanged) {
   const auto model = serve::CompiledModel::compile(serve_graph(), options);
   EXPECT_LE(model->slab_bytes(), options.max_arena_bytes);
   EXPECT_EQ(model->graph(1).size(), base->graph(1).size());  // no remat needed
-}
-
-TEST(CoreOptimizeBudgetTest, PipelinePassHonorsTemcoOptionsBudget) {
-  Graph g;
-  Rng wrng(21);
-  const auto x = g.input(Shape{1, 8, 16, 16}, "x");
-  auto v = g.conv2d(x, Tensor::random_normal(Shape{32, 8, 3, 3}, wrng, 0.2f),
-                    Tensor::zeros(Shape{32}), 1, 1, "conv1");
-  v = g.relu(v, "r1");
-  v = g.conv2d(v, Tensor::random_normal(Shape{16, 32, 3, 3}, wrng, 0.2f),
-               Tensor::zeros(Shape{16}), 1, 1, "conv2");
-  g.set_outputs({v});
-  g.infer_shapes();
-  const auto decomposed = decomp::decompose(g, {.ratio = 0.25}).graph;
-
-  // Generous budget: the pass runs and the result honors it.
-  core::TemcoOptions generous;
-  generous.max_arena_bytes = runtime::plan_arena(decomposed).arena_bytes;
-  const auto optimized = core::optimize(decomposed, generous);
-  EXPECT_LE(runtime::plan_arena(optimized).arena_bytes, generous.max_arena_bytes);
-
-  // Unmeetable budget: typed failure at the pass boundary.
-  core::TemcoOptions impossible;
-  impossible.max_arena_bytes = 64;
-  EXPECT_THROW(core::optimize(decomposed, impossible), ResourceExhaustedError);
 }
 
 }  // namespace

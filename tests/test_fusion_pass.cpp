@@ -188,6 +188,40 @@ TEST(FusionPassTest, ChainOfSequencesFusesEachLink) {
             1e-4f);
 }
 
+TEST(FusionPassTest, OverlappingChainsFuseTheEarlierOne) {
+  // lconv → relu → expand → relu → fconv, where `expand` is itself an lconv:
+  // both lconv → relu → expand and expand → relu → fconv match, and they
+  // share `expand`.  The earlier chain fuses; the fused node starts no chain,
+  // so the second relu and the fconv stay as they are.
+  Graph g;
+  const auto x = g.input(Shape{1, 3, 8, 8}, "x");
+  const auto l = g.conv2d(x, w1x1(12, 3, 60), rbias(12, 61), 1, 0, "lconv");
+  const auto a = g.relu(l, "act");
+  const auto expand = g.conv2d(a, w1x1(24, 12, 62), rbias(24, 63), 1, 0, "expand");
+  const auto a2 = g.relu(expand, "act2");
+  const auto f = g.conv2d(a2, w1x1(4, 24, 64), rbias(4, 65), 1, 0, "fconv");
+  g.set_outputs({f});
+  g.infer_shapes();
+  ASSERT_TRUE(core::is_lconv(g.node(expand)));
+
+  core::OptimizeStats stats;
+  const auto fused = core::fuse_activations(g, {}, &stats);
+  EXPECT_EQ(stats.fused_kernels, 1);
+  ASSERT_EQ(fused.size(), 4u);  // x, lconv.fused, act2, fconv
+  EXPECT_EQ(fused.node(1).kind, ir::OpKind::kFusedConvActConv);
+  EXPECT_EQ(fused.node(1).name, "lconv.fused");
+  EXPECT_EQ(fused.node(2).kind, ir::OpKind::kRelu);
+  EXPECT_EQ(fused.node(2).name, "act2");
+  EXPECT_EQ(fused.node(3).kind, ir::OpKind::kConv2d);
+  EXPECT_EQ(fused.node(3).name, "fconv");
+
+  Rng rng(906);
+  const Tensor input = Tensor::random_normal(Shape{1, 3, 8, 8}, rng);
+  EXPECT_LT(max_abs_diff(runtime::execute(g, {input}).outputs[0],
+                         runtime::execute(fused, {input}).outputs[0]),
+            1e-4f);
+}
+
 TEST(FusionPassTest, RectangularPoolIsNotFused) {
   Graph g;
   const auto x = g.input(Shape{1, 3, 8, 8}, "x");

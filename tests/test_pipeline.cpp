@@ -9,6 +9,7 @@
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/planner.hpp"
+#include "support/checksum.hpp"
 #include "support/rng.hpp"
 #include "tensor/compare.hpp"
 
@@ -118,6 +119,61 @@ TEST(PipelineStatsTest, DenseNetUsesTransforms) {
   EXPECT_GT(stats.skips_optimized, 0);
   EXPECT_GT(stats.concat_splits + stats.lconv_merges, 0)
       << "DenseNet concats must be transformed";
+}
+
+/// FNV-1a over each node's (kind, name, input ids) in schedule order.
+/// Weights are left out, so the value is the same on every ISA tier.
+std::uint64_t structure_hash(const ir::Graph& graph) {
+  std::uint64_t hash = support::kFnv1a64Seed;
+  for (const ir::Node& node : graph.nodes()) {
+    const auto kind = static_cast<std::uint8_t>(node.kind);
+    const std::uint64_t name_bytes = node.name.size();
+    const std::uint64_t arity = node.inputs.size();
+    hash = support::fnv1a64(&kind, sizeof(kind), hash);
+    hash = support::fnv1a64(&name_bytes, sizeof(name_bytes), hash);
+    hash = support::fnv1a64(node.name.data(), node.name.size(), hash);
+    hash = support::fnv1a64(&arity, sizeof(arity), hash);
+    hash = support::fnv1a64(node.inputs.data(), node.inputs.size() * sizeof(ir::ValueId), hash);
+  }
+  return hash;
+}
+
+struct PinnedStructure {
+  const char* model;
+  std::size_t nodes;
+  std::uint64_t hash;
+  core::OptimizeStats stats;
+};
+
+// The exact optimized structure at the test zoo config.  Any change to which
+// matches the rewrite driver (core/rebuild.hpp) applies, or where it emits
+// them, shows here as a different node list or stats line.
+TEST(PipelineStatsTest, OptimizedStructureIsPinned) {
+  const PinnedStructure pinned[] = {
+      {"densenet121", 1318, 0x3ea2e562ce737d65ull, {58, 55, 3, 0, 0, 972, 57, 0, 0, 0, 526, 0}},
+      {"unet_half", 42, 0x1e4b702854274ccaull, {3, 3, 0, 0, 0, 6, 0, 3, 0, 3, 17, 0}},
+  };
+  for (const PinnedStructure& want : pinned) {
+    SCOPED_TRACE(want.model);
+    const auto decomposed =
+        decomp::decompose(models::find_model(want.model).build(tiny_config()), {.ratio = 0.25});
+    core::OptimizeStats got;
+    const auto optimized = core::optimize(decomposed.graph, {}, &got);
+    EXPECT_EQ(want.nodes, optimized.size());
+    EXPECT_EQ(want.hash, structure_hash(optimized));
+    EXPECT_EQ(want.stats.skips_found, got.skips_found);
+    EXPECT_EQ(want.stats.skips_optimized, got.skips_optimized);
+    EXPECT_EQ(want.stats.skips_rejected_structure, got.skips_rejected_structure);
+    EXPECT_EQ(want.stats.skips_rejected_compute, got.skips_rejected_compute);
+    EXPECT_EQ(want.stats.skips_rejected_memory, got.skips_rejected_memory);
+    EXPECT_EQ(want.stats.restore_copies_inserted, got.restore_copies_inserted);
+    EXPECT_EQ(want.stats.concat_splits, got.concat_splits);
+    EXPECT_EQ(want.stats.lconv_merges, got.lconv_merges);
+    EXPECT_EQ(want.stats.add_merges, got.add_merges);
+    EXPECT_EQ(want.stats.upsample_commutes, got.upsample_commutes);
+    EXPECT_EQ(want.stats.fused_kernels, got.fused_kernels);
+    EXPECT_EQ(want.stats.dce_removed, got.dce_removed);
+  }
 }
 
 TEST(PipelineOptionsTest, PassesCanBeDisabledIndependently) {

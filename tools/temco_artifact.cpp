@@ -105,9 +105,7 @@ int cmd_info(int argc, char** argv) {
   if (path == nullptr) return usage();
   const auto file = support::MappedFile::open(path);
   const auto model = serve::load_artifact(file);
-  const std::int64_t budget = model->options().max_arena_bytes > 0
-                                  ? model->options().max_arena_bytes
-                                  : model->options().temco.max_arena_bytes;
+  const std::int64_t budget = model->options().max_arena_bytes;
   if (json) {
     // Stable keys for capacity-planning scripts: everything the human
     // report prints, plus the per-variant slab table as structured rows.
