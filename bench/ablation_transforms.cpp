@@ -4,7 +4,8 @@
 // Reports planned peak internal memory, weight bytes (merging pays in
 // zero-padded block-diagonal weights), number of fused kernels, and node
 // count (a proxy for kernel-launch overhead, the paper's stated motivation
-// for merging).
+// for merging).  Under each variant's row, OptimizeStats::to_string() says
+// which rewrites fired and how often.
 #include "bench/common.hpp"
 
 using namespace temco;
@@ -24,6 +25,7 @@ void report(const char* model_name, const ir::Graph& decomposed, const Variant& 
               format_bytes(static_cast<std::uint64_t>(plan.peak_with_scratch)).c_str(),
               format_bytes(static_cast<std::uint64_t>(optimized.total_weight_bytes())).c_str(),
               stats.fused_kernels, optimized.size());
+  std::printf("%-14s   %s\n", "", stats.to_string().c_str());
 }
 
 }  // namespace

@@ -33,8 +33,7 @@ std::string OptimizeStats::to_string() const {
      << skips_rejected_structure << " structural, " << skips_rejected_compute << " compute, "
      << skips_rejected_memory << " memory rejections), " << restore_copies_inserted
      << " restore copies; transforms: " << concat_splits << " concat splits, " << lconv_merges
-     << " lconv merges, " << add_merges << " add merges, " << upsample_commutes
-     << " upsample commutes; " << fused_kernels
+     << " lconv merges, " << upsample_commutes << " upsample commutes; " << fused_kernels
      << " fused kernels; " << dce_removed << " dead nodes removed";
   return os.str();
 }

@@ -2,9 +2,9 @@
 //
 // TeMCO's whole claim is that every rewrite preserves the model's outputs
 // (Fig. 12: zero accuracy change).  This driver makes that claim mechanical
-// instead of trusted: after every pass it can (1) re-verify graph structure,
-// (2) re-run shape inference and compare against the recorded shapes, and
-// (3) execute the graph on deterministic random inputs and compare against
+// instead of trusted: after every pass it (1) re-verifies graph structure,
+// (2) re-runs shape inference and compares against the recorded shapes, and
+// can (3) execute the graph on deterministic random inputs and compare against
 // the pre-pipeline outputs within a tolerance — a differential numeric
 // oracle.  A broken rewrite is then caught *at its own boundary*, with the
 // pass named in the error, rather than miles downstream as corrupted results.
@@ -20,9 +20,6 @@
 namespace temco::core {
 
 struct PassManagerOptions {
-  /// Structural verify + shape-inference re-check after every pass.
-  bool verify_passes = true;
-
   /// Differential numeric oracle: execute the graph before the pipeline and
   /// after every pass on seeded random inputs; any pass whose output drifts
   /// beyond `oracle_tolerance` (relative Frobenius error, per graph output)
@@ -30,7 +27,6 @@ struct PassManagerOptions {
   /// pass — meant for tests, canaries, and debugging, not the hot path.
   bool numeric_oracle = false;
   double oracle_tolerance = 1e-3;
-  std::uint64_t oracle_seed = 20240811;
 };
 
 class PassManager {

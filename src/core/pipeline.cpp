@@ -1,9 +1,9 @@
 // TeMCO pipeline driver (Fig. 6).
 //
 // The four passes run under the PassManager's guardrails: structural verify +
-// shape re-check at every boundary (TemcoOptions::verify_passes, default on)
-// and an optional differential numeric oracle (TemcoOptions::numeric_oracle)
-// that proves each pass preserved the model's outputs on random inputs.
+// shape re-check at every boundary (always on) and an optional differential
+// numeric oracle (TemcoOptions::numeric_oracle) that proves each pass
+// preserved the model's outputs on random inputs.
 #include "core/pass_manager.hpp"
 #include "core/temco.hpp"
 #include "support/log.hpp"
@@ -15,12 +15,8 @@ ir::Graph optimize(const ir::Graph& graph, const TemcoOptions& options, Optimize
   OptimizeStats local;
   OptimizeStats& st = stats != nullptr ? *stats : local;
 
-  PassManagerOptions pm_options;
-  pm_options.verify_passes = options.verify_passes;
-  pm_options.numeric_oracle = options.numeric_oracle;
-  pm_options.oracle_tolerance = options.oracle_tolerance;
-  pm_options.oracle_seed = options.oracle_seed;
-  PassManager manager(pm_options);
+  PassManager manager({.numeric_oracle = options.numeric_oracle,
+                        .oracle_tolerance = options.oracle_tolerance});
 
   if (options.enable_skip_opt) {
     manager.add_pass("skip_opt", [&options, &st](const ir::Graph& g) {

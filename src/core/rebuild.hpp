@@ -7,7 +7,9 @@
 // schedule order and keeps each match that shares no node with a match
 // already kept; the graph is then rebuilt once with every kept rewrite, and
 // sweeps repeat until one finds nothing.  Used by the layer-transformation
-// and fusion passes, and (removal only) by dead-code elimination.
+// and fusion passes, by skip-connection optimization (one direct rebuild
+// whose rewrites each replace a distant use), and (removal only) by
+// dead-code elimination.
 #pragma once
 
 #include <algorithm>

@@ -12,6 +12,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "core/rebuild.hpp"
 #include "core/temco.hpp"
 #include "runtime/liveness.hpp"
 #include "runtime/planner.hpp"
@@ -243,19 +244,35 @@ ir::Graph optimize_skip_connections(const ir::Graph& graph, const TemcoOptions& 
 
   if (optimized.empty()) return graph;
 
-  // Phase 2: rebuild.  Before each distant use of an optimized skip, replay
-  // a copy of its restore list and redirect the use to the replayed value.
-  ir::Graph out;
-  std::vector<ValueId> remap(graph.size(), ir::kInvalidValue);
+  // Phase 2: one rewrite per node that reads an optimized skip from afar.
+  // It replays each such skip's restore list right before the node, in input
+  // order, and redirects the read to the replayed value.
+  const auto recipe = [&](const Node& use, ValueId in) -> const RestoreInfo* {
+    const auto it = optimized.find(in);
+    return it != optimized.end() && use.id - in > options.distance_threshold ? &it->second
+                                                                             : nullptr;
+  };
+  std::vector<detail::Rewrite> rewrites;
   for (const Node& node : graph.nodes()) {
-    ir::Node copy = node;
-    for (ValueId& in : copy.inputs) {
-      const auto it = optimized.find(in);
-      if (it != optimized.end() && node.id - in > options.distance_threshold) {
-        // Replay the restore list; nodes inside the list resolve to their
-        // fresh copies, everything else to the already-rebuilt values.
+    if (std::none_of(node.inputs.begin(), node.inputs.end(),
+                     [&](ValueId in) { return recipe(node, in) != nullptr; })) {
+      continue;
+    }
+    detail::Rewrite rewrite;
+    rewrite.removes = {node.id};
+    rewrite.anchor = node.id;
+    rewrite.emit = [&graph, &recipe, &st, &node](Graph& out, std::vector<ValueId>& remap) {
+      ir::Node use = node;
+      for (ValueId& in : use.inputs) {
+        const RestoreInfo* info = recipe(node, in);
+        if (info == nullptr) {
+          in = remap[static_cast<std::size_t>(in)];
+          continue;
+        }
+        // Nodes inside the list resolve to their fresh copies, everything
+        // else to the already-rebuilt values.
         std::unordered_map<ValueId, ValueId> replay_map;
-        for (const ValueId rid : it->second.list) {
+        for (const ValueId rid : info->list) {
           ir::Node replay = graph.node(rid);
           replay.name += ".restore";
           for (ValueId& rin : replay.inputs) {
@@ -266,18 +283,12 @@ ir::Graph optimize_skip_connections(const ir::Graph& graph, const TemcoOptions& 
           ++st.restore_copies_inserted;
         }
         in = replay_map[in];
-      } else {
-        in = remap[static_cast<std::size_t>(in)];
       }
-    }
-    remap[static_cast<std::size_t>(node.id)] = out.append(std::move(copy));
+      remap[static_cast<std::size_t>(node.id)] = out.append(std::move(use));
+    };
+    rewrites.push_back(std::move(rewrite));
   }
-
-  std::vector<ValueId> outputs;
-  for (const ValueId o : graph.outputs()) outputs.push_back(remap[static_cast<std::size_t>(o)]);
-  out.set_outputs(std::move(outputs));
-  out.infer_shapes();
-  out.verify();
+  ir::Graph out = detail::rebuild(graph, rewrites);
   TEMCO_INFO() << "skip-opt: " << st.skips_optimized << " of " << st.skips_found
                << " skip connections optimized";
   return out;

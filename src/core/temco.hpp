@@ -3,12 +3,12 @@
 // Public entry point for the paper's contribution.  Given a decomposed
 // inference graph, `optimize` applies (in order):
 //   1. skip connection optimization  (§3.1, Algorithms 1 & 2)
-//   2. layer transformations         (§3.3, concat/add ⇄ merged-lconv)
+//   2. layer transformations         (§3.3, concat ⇄ merged-lconv)
 //   3. activation layer fusion       (§3.2, Listing 1 kernels)
 //   4. dead-code elimination of values the rewrites orphaned
-// Passes 2 and 3 and the rebuild of pass 4 go through one rewrite driver
-// (core/rebuild.hpp): each sweep applies every non-overlapping match of a
-// pattern and rebuilds the graph once.  An arena budget is not a pipeline
+// Every pass rebuilds through one rewrite driver (core/rebuild.hpp): in
+// passes 2 and 3 each sweep applies every non-overlapping match of a pattern
+// and rebuilds the graph once; passes 1 and 4 rebuild once each.  An arena budget is not a pipeline
 // concern: serving caps the slab with serve::CompileOptions::max_arena_bytes,
 // and other callers run runtime::schedule_for_budget on the result.
 // Every rewrite is semantics-preserving: the optimized graph computes the
@@ -50,11 +50,8 @@ struct TemcoOptions {
   int max_restore_depth = 24;
 
   // ---- semantics-preservation guardrails (core/pass_manager.hpp) ----------
-
-  /// Re-verify graph structure and re-check shape inference after every pass;
-  /// a broken rewrite raises a typed error naming the pass at its own
-  /// boundary.  Cheap (integer arithmetic only), so on by default.
-  bool verify_passes = true;
+  // Graph structure and shape inference are re-verified after every pass, so
+  // a broken rewrite raises a typed error naming the pass at its own boundary.
 
   /// Differential numeric oracle: execute the graph before optimization and
   /// after every pass on seeded random inputs, and require each pass's
@@ -63,7 +60,6 @@ struct TemcoOptions {
   /// debugging, not the serving path.
   bool numeric_oracle = false;
   double oracle_tolerance = 1e-3;
-  std::uint64_t oracle_seed = 20240811;
 };
 
 struct OptimizeStats {
@@ -75,7 +71,6 @@ struct OptimizeStats {
   int restore_copies_inserted = 0;
   int concat_splits = 0;             ///< §3.3 concat→fconv split into fconv+add
   int lconv_merges = 0;              ///< §3.3 merged block-diagonal lconv (concat)
-  int add_merges = 0;                ///< §3.3 merged lconv for add joins
   int upsample_commutes = 0;         ///< upsample→pointwise swapped to run conv low-res
   int fused_kernels = 0;             ///< §3.2 lconv-act-[pool]-fconv fusions
   int dce_removed = 0;
@@ -94,8 +89,8 @@ ir::Graph optimize(const ir::Graph& graph, const TemcoOptions& options = {},
 ir::Graph optimize_skip_connections(const ir::Graph& graph, const TemcoOptions& options,
                                     OptimizeStats* stats = nullptr);
 
-/// §3.3 layer transformations (upsample commute, add merge, merged lconv,
-/// concat split), applied in that priority order until none matches.
+/// §3.3 layer transformations (upsample commute, merged lconv, concat split),
+/// applied in that priority order until none matches.
 ir::Graph transform_layers(const ir::Graph& graph, const TemcoOptions& options,
                            OptimizeStats* stats = nullptr);
 

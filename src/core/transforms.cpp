@@ -1,8 +1,8 @@
-// §3.3 layer transformations around concat and add joins.
+// §3.3 layer transformations around concat joins.
 //
-// Four rewrites, each semantics-preserving linear algebra on 1×1 convs, run
-// through the rewrite driver (core/rebuild.hpp) in priority order (D), (C),
-// (B), (A) — one kind per sweep, restarting at (D) after any sweep applies:
+// Three rewrites, each semantics-preserving linear algebra on 1×1 convs, run
+// through the rewrite driver (core/rebuild.hpp) in priority order (D), (B),
+// (A) — one kind per sweep, restarting at (D) after any sweep applies:
 //
 //  (A) concat split (Fig. 9b → 9c):  fconv(concat(x₁..x_k)) =
 //      add(fconv₁(x₁), .., fconv_k(x_k)) with the weight split along input
@@ -13,11 +13,12 @@
 //      now runs on *reduced* tensors and one fused kernel can cover the
 //      whole join.
 //
-//  (C) add merge:  add(l₁(r₁), l₂(r₂)) = l_m(concat(r₁, r₂)) with the
-//      weights concatenated along input channels and biases summed.
-//
 //  (D) upsample commute:  conv(upsample(x)) = upsample(conv(x)) for a
 //      pointwise conv, which then runs at low resolution.
+//
+// The paper's add merge (C), add(l₁(r₁), l₂(r₂)) = l_m(concat(r₁, r₂)), is
+// not implemented: no zoo model has an add whose inputs are both restore
+// lconvs (DESIGN.md, "Decision: no add merge").
 #include <algorithm>
 #include <optional>
 
@@ -34,26 +35,6 @@ using ir::Node;
 using ir::OpKind;
 using ir::ValueId;
 using detail::single_user;
-
-/// Horizontal concatenation of 1×1 conv weights: [C, R₁] ⊕ [C, R₂] → [C, ΣR].
-Tensor hconcat_weights(const Graph& graph, const std::vector<ValueId>& lconvs) {
-  const std::int64_t c_out = graph.node(lconvs[0]).weights[0].shape()[0];
-  std::int64_t r_total = 0;
-  for (const ValueId l : lconvs) r_total += graph.node(l).weights[0].shape()[1];
-  Tensor w = Tensor::zeros(Shape{c_out, r_total, 1, 1});
-  std::int64_t offset = 0;
-  for (const ValueId l : lconvs) {
-    const Tensor& wl = graph.node(l).weights[0];
-    const std::int64_t r = wl.shape()[1];
-    for (std::int64_t co = 0; co < c_out; ++co) {
-      for (std::int64_t j = 0; j < r; ++j) {
-        w.data()[co * r_total + offset + j] = wl.data()[co * r + j];
-      }
-    }
-    offset += r;
-  }
-  return w;
-}
 
 /// Block-diagonal merge of 1×1 conv weights: output channels and input
 /// channels both concatenate; off-diagonal blocks are zero (Fig. 9a).
@@ -95,52 +76,15 @@ Tensor concat_biases(const Graph& graph, const std::vector<ValueId>& lconvs) {
   return b;
 }
 
-// ---- (C) add merge ---------------------------------------------------------
+// ---- (B) merged lconv across concat ----------------------------------------
 
-/// True for convs the merge transforms may treat as restore lconvs.  Slices
-/// produced by the concat split are tagged kFconv and excluded — merging a
-/// split back would re-create the pattern the split just removed and the
-/// rewrite loop would oscillate forever.
+/// True for convs the merge may treat as restore lconvs.  Slices produced by
+/// the concat split are tagged kFconv and excluded — merging a split back
+/// would re-create the pattern the split just removed and the rewrite loop
+/// would oscillate forever.
 bool mergeable_lconv(const Node& node) {
   return is_lconv(node) && node.provenance != ir::Provenance::kFconv;
 }
-
-std::optional<detail::Rewrite> match_add_merge(const Graph& graph, const detail::Users& users,
-                                               const Node& add) {
-  if (add.kind != OpKind::kAdd) return std::nullopt;
-  for (const ValueId in : add.inputs) {
-    if (!mergeable_lconv(graph.node(in)) || !single_user(users, graph, in)) return std::nullopt;
-  }
-
-  detail::Rewrite rewrite;
-  rewrite.removes = add.inputs;
-  rewrite.removes.push_back(add.id);
-  rewrite.anchor = add.id;
-  rewrite.emit = [&graph, &add](Graph& g, std::vector<ValueId>& remap) {
-    const std::vector<ValueId>& lconvs = add.inputs;
-    std::vector<ValueId> reduced;
-    std::int64_t original_flops = 0;
-    for (const ValueId l : lconvs) {
-      reduced.push_back(remap[static_cast<std::size_t>(graph.node(l).inputs[0])]);
-      original_flops += graph.node(l).original_flops;
-    }
-    const ValueId rc = g.concat(reduced, add.name + ".reduced_concat");
-    // Summed biases: add(l₁+b₁, l₂+b₂) carries b₁+b₂ once.
-    Tensor bias = Tensor::zeros(Shape{graph.node(lconvs[0]).weights[1].shape()[0]});
-    for (const ValueId l : lconvs) {
-      const Tensor& bl = graph.node(l).weights[1];
-      for (std::int64_t i = 0; i < bias.numel(); ++i) bias.data()[i] += bl.data()[i];
-    }
-    const ValueId lm = g.conv2d(rc, hconcat_weights(graph, lconvs), std::move(bias), 1, 0,
-                                add.name + ".merged_lconv");
-    g.node(lm).provenance = ir::Provenance::kLconv;
-    g.node(lm).original_flops = original_flops;
-    remap[static_cast<std::size_t>(add.id)] = lm;
-  };
-  return rewrite;
-}
-
-// ---- (B) merged lconv across concat ----------------------------------------
 
 std::optional<detail::Rewrite> match_merged_concat(const Graph& graph,
                                                    const detail::Users& users,
@@ -234,7 +178,7 @@ std::optional<detail::Rewrite> match_concat_split(const Graph& graph, const deta
   if (concat.kind != OpKind::kConcat || !single_user(users, graph, concat.id)) return std::nullopt;
   const Node& fconv = graph.node(users[static_cast<std::size_t>(concat.id)][0]);
   if (!is_pointwise_conv(fconv)) return std::nullopt;
-  // Never split a conv the merge transforms just created (kLconv tag): the
+  // Never split a conv the merge just created (kLconv tag): the
   // pair of rewrites would undo each other indefinitely.
   if (fconv.provenance == ir::Provenance::kLconv) return std::nullopt;
 
@@ -267,7 +211,7 @@ std::optional<detail::Rewrite> match_concat_split(const Graph& graph, const deta
       const ValueId part = g.conv2d(remap[static_cast<std::size_t>(x)], std::move(wi),
                                     std::move(bi), 1, 0, fconv.name + ".split" + std::to_string(i));
       // Split slices are channel-reducing pieces of an fconv; the tag
-      // keeps the merge transforms from treating them as restore
+      // keeps the merge from treating them as restore
       // lconvs (which would oscillate with this split).
       g.node(part).provenance = ir::Provenance::kFconv;
       acc = acc == ir::kInvalidValue
@@ -286,15 +230,14 @@ ir::Graph transform_layers(const ir::Graph& graph, const TemcoOptions& options,
   OptimizeStats local;
   OptimizeStats& st = stats != nullptr ? *stats : local;
 
-  // Add-merge and merged-lconv (when preferred) outrank the split so joins
-  // become single sequences.
-  std::vector<detail::Pattern> patterns = {{match_upsample_commute, &st.upsample_commutes},
-                                           {match_add_merge, &st.add_merges}};
+  // Merged-lconv (when preferred) outranks the split so joins become single
+  // sequences.
+  std::vector<detail::Pattern> patterns = {{match_upsample_commute, &st.upsample_commutes}};
   if (options.prefer_merged_lconv) patterns.push_back({match_merged_concat, &st.lconv_merges});
   patterns.push_back({match_concat_split, &st.concat_splits});
   Graph current = detail::rewrite(graph, patterns);
   TEMCO_INFO() << "transforms: " << st.concat_splits << " splits, " << st.lconv_merges
-               << " lconv merges, " << st.add_merges << " add merges";
+               << " lconv merges";
   return current;
 }
 

@@ -96,15 +96,13 @@ void write_meta(Writer& out, const CompiledModel& model) {
   out.pod(t.compute_threshold_scale);
   out.pod(t.memory_slack);
   out.pod(static_cast<std::int32_t>(t.max_restore_depth));
-  write_bool(out, t.verify_passes);
   write_bool(out, t.numeric_oracle);
   out.pod(t.oracle_tolerance);
-  out.pod(t.oracle_seed);
 
   const core::OptimizeStats& s = model.stats();
   for (const int v : {s.skips_found, s.skips_optimized, s.skips_rejected_structure,
                       s.skips_rejected_compute, s.skips_rejected_memory,
-                      s.restore_copies_inserted, s.concat_splits, s.lconv_merges, s.add_merges,
+                      s.restore_copies_inserted, s.concat_splits, s.lconv_merges,
                       s.upsample_commutes, s.fused_kernels, s.dce_removed}) {
     out.pod(static_cast<std::int32_t>(v));
   }
@@ -140,16 +138,13 @@ MetaCounts read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats
   t.compute_threshold_scale = in.pod<double>();
   t.memory_slack = in.pod<double>();
   t.max_restore_depth = in.pod<std::int32_t>();
-  t.verify_passes = read_bool(in, "meta.verify_passes");
   t.numeric_oracle = read_bool(in, "meta.numeric_oracle");
   t.oracle_tolerance = in.pod<double>();
-  t.oracle_seed = in.pod<std::uint64_t>();
 
   for (int* v : {&stats.skips_found, &stats.skips_optimized, &stats.skips_rejected_structure,
                  &stats.skips_rejected_compute, &stats.skips_rejected_memory,
                  &stats.restore_copies_inserted, &stats.concat_splits, &stats.lconv_merges,
-                 &stats.add_merges, &stats.upsample_commutes, &stats.fused_kernels,
-                 &stats.dce_removed}) {
+                 &stats.upsample_commutes, &stats.fused_kernels, &stats.dce_removed}) {
     *v = in.pod<std::int32_t>();
   }
 

@@ -72,8 +72,10 @@ inline constexpr char kArtifactMagic[8] = {'T', 'M', 'C', 'O', 'A', 'R', 'T', '\
 /// v3 — every strided conv packs its weight for the im2col GEMM, so narrow
 /// strided convs (w_out < kNR) now store packed blobs where v2 stored none;
 /// v4 — meta drops the pipeline-level budget (TemcoOptions::max_arena_bytes
-/// is gone), leaving CompileOptions::max_arena_bytes as the one budget stamp.
-inline constexpr std::uint32_t kArtifactFormatVersion = 4;
+/// is gone), leaving CompileOptions::max_arena_bytes as the one budget stamp;
+/// v5 — meta drops TemcoOptions::verify_passes and oracle_seed (verification
+/// is always on, the oracle seed is fixed) and OptimizeStats::add_merges.
+inline constexpr std::uint32_t kArtifactFormatVersion = 5;
 
 /// Section identifiers; see the file-layout comment above.
 enum class ArtifactSection : std::uint32_t {

@@ -262,7 +262,7 @@ TEST(ArtifactRoundTrip, FileLoadBorrowsPackedWeightsZeroCopy) {
 // ---- version skew -----------------------------------------------------------
 
 std::string golden_path() {
-  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v4.bin";
+  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v5.bin";
 }
 
 // The checked-in golden (written by `temco_artifact golden` at v-current)
@@ -285,11 +285,12 @@ TEST(ArtifactVersionSkew, GoldenArtifactLoads) {
 
 // The previous formats' goldens stay checked in precisely so this test can
 // exist: a v1 file (meta lacks the v2 arena-budget stamps), a v2 file (its
-// narrow strided conv stores no packed blob) and a v3 file (meta still holds
-// the pipeline-level budget) must fail closed with a typed error naming both
-// versions, never be half-parsed.
+// narrow strided conv stores no packed blob), a v3 file (meta still holds
+// the pipeline-level budget) and a v4 file (meta still holds verify_passes,
+// oracle_seed and add_merges) must fail closed with a typed error naming
+// both versions, never be half-parsed.
 TEST(ArtifactVersionSkew, PreviousVersionGoldenRejectedNamingBothVersions) {
-  for (const std::string old_version : {"v1", "v2", "v3"}) {
+  for (const std::string old_version : {"v1", "v2", "v3", "v4"}) {
     const std::string bytes = read_file(std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_" +
                                         old_version + ".bin");
     try {

@@ -58,7 +58,6 @@ TEST_P(ZooGuardrailsTest, VerifiedPipelineWithOracleAcceptsEveryPass) {
   const auto graph = tiny_decomposed(GetParam());
 
   core::TemcoOptions options;
-  options.verify_passes = true;
   options.numeric_oracle = true;  // per-pass differential check vs. the input graph
   const auto optimized = core::optimize(graph, options);
 
@@ -107,7 +106,7 @@ TEST(PassManagerTest, NumericallyBrokenPassCaughtByOracle) {
 
 TEST(PassManagerTest, StructurallyBrokenPassCaughtByVerify) {
   const auto graph = small_graph();
-  core::PassManager manager;  // verify_passes defaults on, no oracle needed
+  core::PassManager manager;  // verification is always on, no oracle needed
   manager.add_pass("dangle_edge", [](const ir::Graph& g) {
     ir::Graph broken = g;
     broken.node(broken.outputs().front()).inputs.front() = 99;  // dangling edge

@@ -222,6 +222,50 @@ TEST(SkipOptTest, MultipleDistantUsesEachGetACopy) {
             1e-4f);
 }
 
+TEST(SkipOptTest, OneUseReadingTwoSkipsReplaysBoth) {
+  // e reads two different optimized skips, bA and bB, both from afar: both
+  // restore lists are replayed right before e, in e's input order.
+  Graph g;
+  const auto x = g.input(Shape{1, 8, 8, 8}, "x");
+  const auto ra = g.conv2d(x, conv1x1_weight(2, 8, 60), zero_b(2), 1, 0, "fA");
+  const auto la = g.conv2d(ra, conv1x1_weight(16, 2, 61), zero_b(16), 1, 0, "lA");
+  g.node(la).original_flops = 1'000'000'000;
+  const auto ba = g.relu(la, "bA");
+  const auto rb = g.conv2d(x, conv1x1_weight(3, 8, 62), zero_b(3), 1, 0, "fB");
+  const auto lb = g.conv2d(rb, conv1x1_weight(16, 3, 63), zero_b(16), 1, 0, "lB");
+  g.node(lb).original_flops = 1'000'000'000;
+  const auto bb = g.relu(lb, "bB");
+  ValueId chain = g.conv2d(bb, conv1x1_weight(4, 16, 64), zero_b(4), 1, 0, "c");
+  for (int i = 0; i < 6; ++i) chain = g.relu(chain, "pad" + std::to_string(i));
+  const auto d = g.conv2d(chain, conv1x1_weight(16, 4, 65), zero_b(16), 1, 0, "d");
+  const auto e = g.add({ba, bb}, "e");
+  g.set_outputs({g.add({e, d}, "out")});
+  g.infer_shapes();
+
+  core::TemcoOptions options;
+  options.distance_threshold = 4;
+  core::OptimizeStats stats;
+  const auto optimized = core::optimize_skip_connections(g, options, &stats);
+  EXPECT_EQ(stats.skips_optimized, 2);
+  EXPECT_EQ(stats.restore_copies_inserted, 4);
+
+  std::vector<std::string> names;
+  for (const auto& node : optimized.nodes()) names.push_back(node.name);
+  const std::vector<std::string> expected = {
+      "x", "fA", "lA", "bA", "fB", "lB", "bB", "c",
+      "pad0", "pad1", "pad2", "pad3", "pad4", "pad5", "d",
+      "lA.restore", "bA.restore",  // skip A's replay
+      "lB.restore", "bB.restore",  // then skip B's
+      "e", "out"};
+  EXPECT_EQ(names, expected);
+
+  Rng rng(703);
+  const Tensor input = Tensor::random_normal(Shape{1, 8, 8, 8}, rng);
+  EXPECT_EQ(max_abs_diff(runtime::execute(g, {input}).outputs[0],
+                         runtime::execute(optimized, {input}).outputs[0]),
+            0.0f);
+}
+
 TEST(SkipOptTest, RestoreThroughAddOrdersByPeak) {
   // The skip is an add of two restored tensors; FindReduced must recurse
   // through the add into both lconvs and still produce a correct replay.

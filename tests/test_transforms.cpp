@@ -1,7 +1,8 @@
-// §3.3 layer transformations: concat split, merged block-diagonal lconv, and
-// add merge — each must preserve semantics exactly and enable fusion.
+// §3.3 layer transformations: concat split, merged block-diagonal lconv and
+// upsample commute — each must preserve semantics exactly and enable fusion.
 #include <gtest/gtest.h>
 
+#include "core/rebuild.hpp"
 #include "core/temco.hpp"
 #include "runtime/executor.hpp"
 #include "runtime/planner.hpp"
@@ -129,46 +130,6 @@ TEST(MergedLconvTest, BlockDiagonalWeightsAreZeroOffDiagonal) {
       for (std::int64_t ci = 0; ci < 2; ++ci) EXPECT_EQ(w.data()[co * 5 + ci], 0.0f);
     }
   }
-}
-
-TEST(AddMergeTest, PreservesSemanticsAndSumsBiases) {
-  Graph g;
-  const auto x = g.input(Shape{1, 6, 5, 5}, "x");
-  const auto r1 = g.conv2d(x, w1x1(2, 6, 11), rbias(2, 12), 1, 0, "f1");
-  const auto l1 = g.conv2d(r1, w1x1(10, 2, 13), rbias(10, 14), 1, 0, "l1");
-  const auto r2 = g.conv2d(x, w1x1(3, 6, 15), rbias(3, 16), 1, 0, "f2");
-  const auto l2 = g.conv2d(r2, w1x1(10, 3, 17), rbias(10, 18), 1, 0, "l2");
-  const auto sum = g.add({l1, l2}, "join");
-  const auto out = g.relu(sum, "act");
-  g.set_outputs({out});
-  g.infer_shapes();
-
-  core::OptimizeStats stats;
-  const auto transformed = core::transform_layers(g, {}, &stats);
-  EXPECT_EQ(stats.add_merges, 1);
-
-  Rng rng(803);
-  const Tensor input = Tensor::random_normal(Shape{1, 6, 5, 5}, rng);
-  EXPECT_LT(max_abs_diff(runtime::execute(g, {input}).outputs[0],
-                         runtime::execute(transformed, {input}).outputs[0]),
-            1e-4f);
-
-  // No kAdd node survives; a merged lconv took its place.
-  for (const auto& node : transformed.nodes()) EXPECT_NE(node.kind, ir::OpKind::kAdd);
-}
-
-TEST(AddMergeTest, LeavesAddAloneWhenInputsAreNotLconvs) {
-  Graph g;
-  const auto x = g.input(Shape{1, 4, 5, 5}, "x");
-  const auto a = g.relu(x, "a");
-  const auto b = g.silu(x, "b");
-  const auto sum = g.add({a, b}, "sum");
-  g.set_outputs({sum});
-  g.infer_shapes();
-  core::OptimizeStats stats;
-  const auto transformed = core::transform_layers(g, {}, &stats);
-  EXPECT_EQ(stats.add_merges, 0);
-  EXPECT_EQ(transformed.size(), g.size());
 }
 
 TEST(ConcatSplitTest, MultiUserConcatIsNotTransformed) {
@@ -340,6 +301,30 @@ TEST(DceTest, PreservesSemantics) {
   EXPECT_EQ(max_abs_diff(runtime::execute(g, {input}).outputs[0],
                          runtime::execute(cleaned, {input}).outputs[0]),
             0.0f);
+}
+
+// The rewrite driver every pass rebuilds through refuses a rewrite that
+// removes a value some node outside it still reads, or a graph output.
+TEST(RebuildTest, RejectsRemovingAValueStillReadOrAnOutput) {
+  Graph g;
+  const auto x = g.input(Shape{1, 2, 4, 4}, "x");
+  const auto a = g.relu(x, "a");
+  const auto b = g.relu(a, "b");
+  g.set_outputs({b});
+  g.infer_shapes();
+
+  const auto rebuild_error = [&g](ValueId removed) -> std::string {
+    core::detail::Rewrite drop;
+    drop.removes = {removed};
+    try {
+      core::detail::rebuild(g, {drop});
+    } catch (const Error& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  EXPECT_NE(rebuild_error(a).find("removed a value still used by b"), std::string::npos);
+  EXPECT_NE(rebuild_error(b).find("removed a graph output"), std::string::npos);
 }
 
 }  // namespace
