@@ -54,35 +54,33 @@ ArenaPlan plan_arena(const ir::Graph& graph, ArenaOptions options) {
     return a < b;
   });
 
+  // `placed` is kept in offset order, so the walk below visits the
+  // concurrently-live tensors by offset without sorting them per block.
   std::vector<std::size_t> placed;
-  std::vector<const ArenaBlock*> conflicts;
   placed.reserve(order.size());
   for (const std::size_t index : order) {
     ArenaBlock& block = plan.blocks[index];
-    conflicts.clear();
-    for (const std::size_t other : placed) {
-      if (ranges_overlap(block.range, plan.blocks[other].range)) {
-        conflicts.push_back(&plan.blocks[other]);
-      }
-    }
-    std::sort(conflicts.begin(), conflicts.end(),
-              [](const ArenaBlock* a, const ArenaBlock* b) { return a->offset < b->offset; });
-
     // Walk the occupied ranges in offset order; the smallest gap that fits
     // wins (best-fit), falling back to first free offset past the conflicts.
     std::int64_t cursor = 0;
     std::int64_t best_offset = -1;
     std::int64_t best_gap = std::numeric_limits<std::int64_t>::max();
-    for (const ArenaBlock* other : conflicts) {
-      const std::int64_t gap = other->offset - cursor;
+    for (const std::size_t other_index : placed) {
+      const ArenaBlock& other = plan.blocks[other_index];
+      if (!ranges_overlap(block.range, other.range)) continue;
+      const std::int64_t gap = other.offset - cursor;
       if (gap >= block.bytes && gap < best_gap) {
         best_gap = gap;
         best_offset = cursor;
       }
-      cursor = std::max(cursor, other->offset + other->bytes);
+      cursor = std::max(cursor, other.offset + other.bytes);
     }
     block.offset = best_offset >= 0 ? best_offset : cursor;
-    placed.push_back(index);
+    placed.insert(std::upper_bound(placed.begin(), placed.end(), block.offset,
+                                   [&](std::int64_t offset, std::size_t other) {
+                                     return offset < plan.blocks[other].offset;
+                                   }),
+                  index);
     plan.tensor_bytes = std::max(plan.tensor_bytes, block.offset + block.bytes);
   }
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "kernels/kernels.hpp"
+#include "runtime/cost_model.hpp"
 #include "runtime/liveness.hpp"
 #include "runtime/planner.hpp"
 #include "support/align.hpp"
@@ -27,6 +28,15 @@ failpoints::Site fp_drop_node{"scheduler.drop_node"};
 /// bytes-freed per recompute-second) are cheap to re-discover next round if
 /// the peak moves, so a cap costs quality nothing observable.
 constexpr std::size_t kMaxRematTrials = 24;
+
+/// Longest producer chain a single rematerialization may duplicate.  Depth 1
+/// is TeMCO's restore trick (one cheap lconv); deeper chains let the search
+/// recompute through fconv→core→lconv sequences.
+constexpr int kMaxRematDepth = 4;
+
+/// Currency for recompute time: ranks remat candidates and prices the
+/// reported slowdown.
+const CostModel kCostModel;
 
 std::int64_t padded(const Graph& g, ValueId id) {
   return align_up(g.node(id).out_shape.bytes());
@@ -243,8 +253,7 @@ struct RematTrial {
 /// chains, and return the trial that lowers (peak, plateau-width) the most.
 /// Empty when no candidate strictly improves — the budget is then provably
 /// out of this search's reach.
-std::optional<RematTrial> best_remat(const Graph& g, const BudgetOptions& options,
-                                     const PeakEstimate& current) {
+std::optional<RematTrial> best_remat(const Graph& g, const PeakEstimate& current) {
   const std::size_t n = g.size();
   const auto liveness = compute_liveness(g);
   const auto users = g.users();
@@ -294,12 +303,11 @@ std::optional<RematTrial> best_remat(const Graph& g, const BudgetOptions& option
       cand.v = v;
       cand.insert_before = first_after;
       std::unordered_set<ValueId> in_chain;
-      if (!collect_chain(g, liveness, v, first_after, options.max_remat_depth, cand.chain,
-                         in_chain)) {
+      if (!collect_chain(g, liveness, v, first_after, kMaxRematDepth, cand.chain, in_chain)) {
         continue;
       }
       for (const ValueId c : cand.chain) {
-        cand.seconds += options.cost_model.node_seconds(g, g.node(c));
+        cand.seconds += kCostModel.node_seconds(g, g.node(c));
       }
       cand.bytes_per_second =
           static_cast<double>(padded(g, v)) / (cand.seconds + 1e-12);
@@ -394,7 +402,7 @@ std::int64_t schedule_floor_bytes(const ir::Graph& graph) {
 
 BudgetScheduleResult schedule_for_budget(const ir::Graph& graph, const BudgetOptions& options) {
   graph.verify();
-  const double base_seconds = options.cost_model.graph_seconds(graph);
+  const double base_seconds = kCostModel.graph_seconds(graph);
 
   BudgetScheduleResult result;
   result.budget_bytes = options.max_bytes;
@@ -417,7 +425,7 @@ BudgetScheduleResult schedule_for_budget(const ir::Graph& graph, const BudgetOpt
   // Phase 2: rematerialize at the peak until the oracle fits or no move helps.
   PeakEstimate estimate = estimate_peak(current);
   for (int round = 0; round < options.max_remat_rounds; ++round) {
-    std::optional<RematTrial> trial = best_remat(current, options, estimate);
+    std::optional<RematTrial> trial = best_remat(current, estimate);
     if (!trial) break;
     current = std::move(trial->graph);
     estimate = trial->estimate;
@@ -435,7 +443,7 @@ BudgetScheduleResult schedule_for_budget(const ir::Graph& graph, const BudgetOpt
   result.met = bytes <= options.max_bytes;
   result.graph = std::move(current);
   result.predicted_slowdown =
-      base_seconds > 0.0 ? options.cost_model.graph_seconds(result.graph) / base_seconds : 1.0;
+      base_seconds > 0.0 ? kCostModel.graph_seconds(result.graph) / base_seconds : 1.0;
   TEMCO_INFO() << "budget scheduler: arena " << result.unconstrained_arena_bytes << " -> "
                << result.achieved_arena_bytes << " B (budget " << options.max_bytes << " B, "
                << (result.met ? "met" : "NOT met") << ", " << result.remat_nodes

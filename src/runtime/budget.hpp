@@ -9,7 +9,8 @@
 // TeMCO's skip-connection optimization — re-run a cheap restore layer instead
 // of keeping a wide tensor alive — is one hand-picked point of this space;
 // here the same trade is made wherever the budget demands it, guided by a
-// per-op cost model (runtime/cost_model.hpp) instead of fixed thresholds.
+// per-op cost model (runtime/cost_model.hpp, default rates) instead of fixed
+// thresholds.
 //
 // The search alternates two moves until the budget is met or no move helps:
 //   1. order search: a beam over topological prefixes, scored by the greedy
@@ -19,7 +20,7 @@
 //      step without being used there is cut — its later consumers are rewired
 //      to a freshly duplicated producer chain inserted right before the first
 //      of them, so the original dies early and the copy recomputes it from
-//      values still resident.  Chains are bounded by `max_remat_depth`, must
+//      values still resident.  Chains are at most four nodes deep, must
 //      bottom out in live values (never a duplicated kInput), and candidates
 //      are ranked by estimator peak with predicted recompute seconds as the
 //      tie-break.
@@ -37,7 +38,6 @@
 
 #include "ir/graph.hpp"
 #include "runtime/arena.hpp"
-#include "runtime/cost_model.hpp"
 
 namespace temco::runtime {
 
@@ -47,17 +47,8 @@ struct BudgetOptions {
   /// minimum peak but never rematerializes.
   std::int64_t max_bytes = 0;
 
-  /// Currency for recompute time: ranks remat candidates and prices the
-  /// reported slowdown.
-  CostModel cost_model;
-
   /// Width of the topological-order beam.  1 degenerates to greedy.
   std::size_t beam_width = 4;
-
-  /// Longest producer chain a single rematerialization may duplicate.  Depth
-  /// 1 is TeMCO's restore trick (one cheap lconv); deeper chains let the
-  /// search recompute through fconv→core→lconv sequences.
-  int max_remat_depth = 4;
 
   /// Safety bound on remat rounds (one duplication each); the search also
   /// stops as soon as no candidate strictly lowers the estimator peak.
@@ -81,7 +72,7 @@ struct BudgetScheduleResult {
   /// !met this is what a caller should report in its ResourceExhaustedError.
   std::int64_t achieved_arena_bytes = 0;
 
-  /// cost_model.graph_seconds(graph) / graph_seconds(reorder-only schedule):
+  /// CostModel::graph_seconds(graph) / graph_seconds(reorder-only schedule):
   /// the predicted price of the duplicated compute (1.0 when none).
   double predicted_slowdown = 1.0;
 

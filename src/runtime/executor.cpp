@@ -103,6 +103,27 @@ void run_node(const ir::Node& node, const std::vector<const Tensor*>& in, Tensor
   }
 }
 
+/// Calls fn(node, offset, floats) for every node that packs a blob, in node
+/// order, with the blob's byte offset under PackedWeights' layout rule;
+/// returns the buffer size.
+template <typename Fn>
+std::size_t for_each_blob(const ir::Graph& graph, Fn&& fn) {
+  std::size_t cursor = 0;
+  for (const ir::Node& node : graph.nodes()) {
+    const std::int64_t floats = PackedWeights::node_floats(node);
+    if (floats == 0) continue;
+    cursor = static_cast<std::size_t>(align_up(static_cast<std::int64_t>(cursor)));
+    fn(node, cursor, floats);
+    cursor += static_cast<std::size_t>(floats) * sizeof(float);
+  }
+  return cursor;
+}
+
+/// Size of the buffer that for_each_blob lays out.
+std::size_t packed_buffer_bytes(const ir::Graph& graph) {
+  return for_each_blob(graph, [](const ir::Node&, std::size_t, std::int64_t) {});
+}
+
 }  // namespace
 
 std::int64_t PackedWeights::node_floats(const ir::Node& node) {
@@ -117,21 +138,39 @@ std::int64_t PackedWeights::node_floats(const ir::Node& node) {
 }
 
 PackedWeights PackedWeights::build(const ir::Graph& graph) {
-  PackedWeights packed;
-  packed.blobs.resize(graph.size());
-  for (const ir::Node& node : graph.nodes()) {
-    const std::int64_t floats = node_floats(node);
-    if (floats == 0) continue;
-    auto& blob = packed.blobs[static_cast<std::size_t>(node.id)];
-    blob.resize(static_cast<std::size_t>(floats));
+  const std::size_t size = packed_buffer_bytes(graph);
+  std::shared_ptr<unsigned char> storage = aligned_bytes(size);
+  unsigned char* const base = storage.get();
+  std::memset(base, 0, size);  // padding is part of the artifact bytes
+  for_each_blob(graph, [&](const ir::Node& node, std::size_t offset, std::int64_t) {
+    float* blob = reinterpret_cast<float*>(base + offset);
     if (node.kind == ir::OpKind::kConv2d) {
       kernels::conv2d_prepack(node.weights[0], node.attrs.stride_h, node.attrs.stride_w,
-                              node.out_shape[3], blob.data());
+                              node.out_shape[3], blob);
     } else {
-      kernels::fused_prepack(node.weights[0], node.weights[2], blob.data());
+      kernels::fused_prepack(node.weights[0], node.weights[2], blob);
     }
+  });
+  return view(graph, std::move(storage), base, size);
+}
+
+PackedWeights PackedWeights::view(const ir::Graph& graph, std::shared_ptr<const void> owner,
+                                  const unsigned char* data, std::size_t size) {
+  TEMCO_CHECK(reinterpret_cast<std::uintptr_t>(data) % kTensorAlignment == 0)
+      << "packed-weight buffer is not " << kTensorAlignment << "-byte aligned";
+  const std::size_t expected = packed_buffer_bytes(graph);
+  TEMCO_CHECK_AS(expected == size, InvalidGraphError)
+      << "packed weights for this graph take " << expected << " bytes, the buffer holds "
+      << size;
+  PackedWeights packed;
+  packed.blob_.resize(graph.size(), nullptr);
+  for_each_blob(graph, [&](const ir::Node& node, std::size_t offset, std::int64_t floats) {
+    packed.blob_[static_cast<std::size_t>(node.id)] = reinterpret_cast<const float*>(data + offset);
     packed.bytes += floats * static_cast<std::int64_t>(sizeof(float));
-  }
+  });
+  packed.owner_ = std::move(owner);
+  packed.data_ = data;
+  packed.buffer_bytes_ = size;
   return packed;
 }
 

@@ -58,38 +58,47 @@ struct ExecutionResult {
 };
 
 /// Plan-time GEMM weight packing for a graph: one blob per node that wants
-/// one (empty otherwise), indexed by ValueId.  Packing depends only on weight
+/// one (none otherwise), indexed by ValueId.  Packing depends only on weight
 /// contents and output *width*, never on the batch dimension, so one build is
 /// valid for every batch variant of a graph (asserted in tests) — the serving
 /// runtime shares a single PackedWeights read-only across all sessions.
+///
+/// Storage is one 64-byte-aligned buffer behind a shared owner.  The layout
+/// is a function of the graph alone: blob i starts at the next 64-aligned
+/// offset after blob i-1 ends, in node order, and padding bytes are zero.
+/// An artifact's packed-weight section is this buffer byte for byte, so a
+/// loaded model views the section in place (serve/artifact.hpp).
 struct PackedWeights {
-  std::vector<std::vector<float>> blobs;
+  /// Sum of the blobs' bytes, padding excluded.
   std::int64_t bytes = 0;
 
-  /// Zero-copy mode (serve/artifact.hpp): non-empty `views` overrides
-  /// `blobs` and resolves blob(id) to borrowed storage — typically the
-  /// page-aligned packed-weight section of an mmapped artifact, so N
-  /// processes share one physical copy.  Whoever fills `views` must keep the
-  /// backing bytes alive and 64-byte aligned for as long as this object is
-  /// used (the loaded CompiledModel co-owns its mapping for exactly this).
-  std::vector<const float*> views;
-
+  /// Packs every blob of `graph` into a fresh buffer.
   static PackedWeights build(const ir::Graph& graph);
 
-  /// Floats PackedWeights::build would pack for this node (0: the node's
-  /// kernels read weights in place).  The artifact loader re-derives every
-  /// blob's expected size through this — a stored length is never trusted,
-  /// only compared.
+  /// Points at `size` bytes at `data`, already laid out for `graph`, kept
+  /// alive by `owner`.  `data` must be 64-byte aligned; a size other than
+  /// the layout's raises InvalidGraphError.
+  static PackedWeights view(const ir::Graph& graph, std::shared_ptr<const void> owner,
+                            const unsigned char* data, std::size_t size);
+
+  /// Floats PackedWeights::build packs for this node (0: the node's kernels
+  /// read weights in place).
   static std::int64_t node_floats(const ir::Node& node);
 
-  /// Nodes covered (== graph size in either storage mode).
-  std::size_t size() const { return views.empty() ? blobs.size() : views.size(); }
+  /// Nodes covered (== graph size).
+  std::size_t size() const { return blob_.size(); }
 
-  const float* blob(ir::ValueId id) const {
-    if (!views.empty()) return views[static_cast<std::size_t>(id)];
-    const auto& b = blobs[static_cast<std::size_t>(id)];
-    return b.empty() ? nullptr : b.data();
-  }
+  const float* blob(ir::ValueId id) const { return blob_[static_cast<std::size_t>(id)]; }
+
+  /// The whole buffer, padding included.
+  const unsigned char* data() const { return data_; }
+  std::size_t buffer_bytes() const { return buffer_bytes_; }
+
+ private:
+  std::shared_ptr<const void> owner_;
+  const unsigned char* data_ = nullptr;
+  std::size_t buffer_bytes_ = 0;
+  std::vector<const float*> blob_;  ///< per node; nullptr when it packs nothing
 };
 
 /// Byte used to poison-fill arena slabs and guard bands.  Four of them form a

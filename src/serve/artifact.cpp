@@ -4,13 +4,11 @@
 #include <bit>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <vector>
 
 #include "ir/serialize.hpp"
 #include "kernels/gemm.hpp"
-#include "kernels/kernels.hpp"
-#include "parallel/thread_pool.hpp"
-#include "runtime/liveness.hpp"
 #include "support/align.hpp"
 #include "support/checksum.hpp"
 
@@ -38,15 +36,21 @@ constexpr std::size_t kWeightSectionAlignment = support::kMappedFileAlignment;
 
 constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kTableEntryBytes = 32;
+constexpr std::uint32_t kSectionCount = 3;
 
 /// Plausibility ceiling on batch variants per artifact; far above any real
-/// micro-batcher and small enough that a hostile count cannot drive the
-/// loader into gigabytes of variant restamping before a later check fires.
+/// micro-batcher, and it bounds the loader's work: load restamps and plans
+/// max_batch variants of the stored graph.
 constexpr std::uint64_t kMaxArtifactBatch = 4096;
 
-/// Ceiling on any single byte-count field read from a plan; generous (1 TiB)
-/// but low enough that sums and offset+size additions cannot overflow i64.
-constexpr std::int64_t kMaxPlanBytes = std::int64_t{1} << 40;
+/// Plausibility ceiling on the per-executor kernel pool width.  A session
+/// builds max_batch executors and each one starts intra_op_threads - 1
+/// threads, so a hostile stamp must not reach Session construction.
+constexpr std::uint64_t kMaxIntraOpThreads = 1024;
+
+/// Ceiling on the stamped arena budget; generous (1 TiB) but low enough
+/// that slab comparisons cannot overflow i64.
+constexpr std::int64_t kMaxArenaBudget = std::int64_t{1} << 40;
 
 struct SectionEntry {
   std::uint32_t id = 0;
@@ -65,15 +69,6 @@ bool read_bool(Reader& in, const char* what) {
 }
 
 // ---- meta section -----------------------------------------------------------
-
-/// Byte counts stored in meta that the loader recomputes from the other
-/// sections and cross-checks; a mismatch means the sections disagree with
-/// each other even though each one checksums clean.
-struct MetaCounts {
-  std::int64_t slab_bytes = 0;
-  std::int64_t weight_bytes = 0;
-  std::int64_t packed_bytes = 0;
-};
 
 void write_meta(Writer& out, const CompiledModel& model) {
   out.pod(model.pack_layout_version());
@@ -106,14 +101,10 @@ void write_meta(Writer& out, const CompiledModel& model) {
                       s.upsample_commutes, s.fused_kernels, s.dce_removed}) {
     out.pod(static_cast<std::int32_t>(v));
   }
-
-  out.pod(model.slab_bytes());
-  out.pod(model.weight_bytes());
-  out.pod(model.packed_weight_bytes());
 }
 
-MetaCounts read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats,
-                     std::uint32_t& pack_layout, support::Isa& isa) {
+void read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats,
+               std::uint32_t& pack_layout, support::Isa& isa) {
   pack_layout = in.pod<std::uint32_t>();
   isa = ir::wire::read_enum(in, support::Isa::kNeon);
   opt.optimize = read_bool(in, "meta.optimize");
@@ -123,9 +114,13 @@ MetaCounts read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats
   TEMCO_CHECK_AS(max_batch >= 1 && max_batch <= kMaxArtifactBatch, InvalidGraphError)
       << "implausible max_batch " << max_batch;
   opt.max_batch = static_cast<std::size_t>(max_batch);
-  opt.intra_op_threads = static_cast<std::size_t>(in.pod<std::uint64_t>());
+  const auto intra_op_threads = in.pod<std::uint64_t>();
+  TEMCO_CHECK_AS(intra_op_threads <= kMaxIntraOpThreads, InvalidGraphError)
+      << "implausible intra_op_threads " << intra_op_threads << " (ceiling "
+      << kMaxIntraOpThreads << ")";
+  opt.intra_op_threads = static_cast<std::size_t>(intra_op_threads);
   opt.max_arena_bytes = in.pod<std::int64_t>();
-  TEMCO_CHECK_AS(opt.max_arena_bytes >= 0 && opt.max_arena_bytes <= kMaxPlanBytes,
+  TEMCO_CHECK_AS(opt.max_arena_bytes >= 0 && opt.max_arena_bytes <= kMaxArenaBudget,
                  InvalidGraphError)
       << "implausible arena budget " << opt.max_arena_bytes;
 
@@ -147,209 +142,19 @@ MetaCounts read_meta(Reader& in, CompileOptions& opt, core::OptimizeStats& stats
                  &stats.upsample_commutes, &stats.fused_kernels, &stats.dce_removed}) {
     *v = in.pod<std::int32_t>();
   }
-
-  MetaCounts counts;
-  counts.slab_bytes = in.pod<std::int64_t>();
-  counts.weight_bytes = in.pod<std::int64_t>();
-  counts.packed_bytes = in.pod<std::int64_t>();
-  for (const std::int64_t v : {counts.slab_bytes, counts.weight_bytes, counts.packed_bytes}) {
-    TEMCO_CHECK_AS(v >= 0 && v <= kMaxPlanBytes, InvalidGraphError)
-        << "implausible meta byte count " << v;
-  }
   in.expect_exhausted("meta section");
-  return counts;
-}
-
-// ---- plans section ----------------------------------------------------------
-
-void write_plans(Writer& out, const CompiledModel& model) {
-  out.pod(static_cast<std::uint32_t>(model.max_batch()));
-  for (std::size_t k = 1; k <= model.max_batch(); ++k) {
-    const runtime::ArenaPlan& plan = model.plan(k);
-    out.pod(static_cast<std::uint32_t>(plan.blocks.size()));
-    for (const runtime::ArenaBlock& block : plan.blocks) {
-      out.pod(block.id);
-      out.pod(block.offset);
-      out.pod(block.bytes);
-      out.pod(block.range.begin);
-      out.pod(block.range.end);
-    }
-    out.pod(plan.arena_bytes);
-    out.pod(plan.tensor_bytes);
-    out.pod(plan.scratch_offset);
-    out.pod(plan.scratch_slot_bytes);
-    out.pod(static_cast<std::uint64_t>(plan.scratch_slots));
-    out.pod(plan.canary_bytes);
-  }
-}
-
-/// Reads and fully re-validates the plan for one batch variant.  Structural
-/// trust comes from recomputation, not the file: block liveness must equal
-/// compute_liveness(variant) (a hostile range claiming false disjointness
-/// would otherwise smuggle overlapping blocks past the overlap check), and
-/// validate_arena_plan then proves alignment, bounds, and non-overlap.
-runtime::ArenaPlan read_plan(Reader& in, const ir::Graph& variant, bool expect_canaries) {
-  runtime::ArenaPlan plan;
-  const auto block_count = in.pod<std::uint32_t>();
-  TEMCO_CHECK_AS(block_count == variant.size(), InvalidGraphError)
-      << "plan covers " << block_count << " values, variant has " << variant.size();
-  const std::vector<runtime::LiveRange> liveness = runtime::compute_liveness(variant);
-  plan.blocks.resize(block_count);
-  for (std::uint32_t i = 0; i < block_count; ++i) {
-    runtime::ArenaBlock& block = plan.blocks[i];
-    block.id = in.pod<ir::ValueId>();
-    TEMCO_CHECK_AS(block.id == static_cast<ir::ValueId>(i), InvalidGraphError)
-        << "plan block " << i << " carries id " << block.id << "; blocks must be value-indexed";
-    block.offset = in.pod<std::int64_t>();
-    block.bytes = in.pod<std::int64_t>();
-    block.range.begin = in.pod<ir::ValueId>();
-    block.range.end = in.pod<ir::ValueId>();
-    TEMCO_CHECK_AS(block.offset >= 0 && block.offset <= kMaxPlanBytes && block.bytes >= 0 &&
-                       block.bytes <= kMaxPlanBytes,
-                   InvalidGraphError)
-        << "plan block " << i << " has implausible extent [" << block.offset << ", +"
-        << block.bytes << ")";
-    const runtime::LiveRange& expected = liveness[i];
-    TEMCO_CHECK_AS(block.range.begin == expected.begin && block.range.end == expected.end,
-                   InvalidGraphError)
-        << "plan block " << i << " stores live range [" << block.range.begin << ", "
-        << block.range.end << "], recomputed liveness says [" << expected.begin << ", "
-        << expected.end << "]";
-  }
-  plan.arena_bytes = in.pod<std::int64_t>();
-  plan.tensor_bytes = in.pod<std::int64_t>();
-  plan.scratch_offset = in.pod<std::int64_t>();
-  plan.scratch_slot_bytes = in.pod<std::int64_t>();
-  const auto scratch_slots = in.pod<std::uint64_t>();
-  plan.canary_bytes = in.pod<std::int64_t>();
-  for (const std::int64_t v : {plan.arena_bytes, plan.tensor_bytes, plan.scratch_offset,
-                               plan.scratch_slot_bytes, plan.canary_bytes}) {
-    TEMCO_CHECK_AS(v >= 0 && v <= kMaxPlanBytes, InvalidGraphError)
-        << "implausible plan byte count " << v;
-  }
-  TEMCO_CHECK_AS(scratch_slots <= kMaxArtifactBatch * 64, InvalidGraphError)
-      << "implausible scratch slot count " << scratch_slots;
-  plan.scratch_slots = static_cast<std::size_t>(scratch_slots);
-
-  // Scratch sufficiency is machine-dependent: the plan was sized for the
-  // compiling process's pool, and fused kernels index scratch by worker id.
-  // A wider pool here would index past the reserved slots, so reject rather
-  // than corrupt (recompiling on this machine fixes it).
-  std::int64_t max_scratch = 0;
-  for (const ir::Node& node : variant.nodes()) {
-    if (node.kind != ir::OpKind::kFusedConvActConv) continue;
-    const Shape& x = variant.node(node.inputs[0]).out_shape;
-    max_scratch = std::max(
-        max_scratch, kernels::fused_scratch_bytes(node.weights[0].shape()[0], x[3],
-                                                  node.attrs.fused_has_pool, node.out_shape[3]));
-  }
-  if (max_scratch > 0) {
-    TEMCO_CHECK_AS(plan.scratch_slot_bytes >= align_up(max_scratch), InvalidGraphError)
-        << "plan reserves " << plan.scratch_slot_bytes << " scratch bytes per slot, fused "
-        << "kernels need " << align_up(max_scratch);
-    TEMCO_CHECK_AS(plan.scratch_slots >= ThreadPool::global().concurrency(), InvalidGraphError)
-        << "artifact plans reserve " << plan.scratch_slots << " scratch slots but this "
-        << "process's pool has " << ThreadPool::global().concurrency()
-        << " lanes; recompile the model on this machine";
-  }
-  TEMCO_CHECK_AS(!expect_canaries || plan.canary_bytes > 0, InvalidGraphError)
-      << "model was compiled with arena_canaries but the stored plan has no guard bands";
-  runtime::validate_arena_plan(variant, plan);
-  return plan;
-}
-
-// ---- packed-weight sections -------------------------------------------------
-
-struct PackedIndexEntry {
-  std::uint64_t floats = 0;
-  std::uint64_t offset = 0;  ///< byte offset inside the weight section
-};
-
-void write_packed(Writer& index_out, Writer& weights_out, const CompiledModel& model) {
-  const runtime::PackedWeights& packed = model.prepack();
-  const ir::Graph& graph = model.graph(1);
-  index_out.pod(static_cast<std::uint32_t>(packed.size()));
-  for (std::size_t i = 0; i < packed.size(); ++i) {
-    const float* data = packed.blob(static_cast<ir::ValueId>(i));
-    // Blob sizes come from the packer contract, not container bookkeeping,
-    // so saving works identically for owned and borrowed (views) storage.
-    const std::size_t floats =
-        data == nullptr
-            ? 0
-            : static_cast<std::size_t>(runtime::PackedWeights::node_floats(
-                  graph.node(static_cast<ir::ValueId>(i))));
-    PackedIndexEntry entry;
-    entry.floats = floats;
-    if (floats > 0) {
-      weights_out.align_to(kSectionAlignment);
-      entry.offset = weights_out.size();
-      weights_out.raw(data, floats * sizeof(float));
-    }
-    index_out.pod(entry.floats);
-    index_out.pod(entry.offset);
-  }
-}
-
-/// Validates the packed index against what this binary's packers would
-/// produce for `graph` and returns the per-node entries.  Every blob size is
-/// recomputed (PackedWeights::node_floats), offsets must ascend without
-/// overlap and stay 64-aligned, and the section must be consumed exactly.
-std::vector<PackedIndexEntry> read_packed_index(Reader& in, const ir::Graph& graph,
-                                                std::uint64_t weight_section_bytes,
-                                                std::int64_t expected_packed_bytes) {
-  const auto node_count = in.pod<std::uint32_t>();
-  TEMCO_CHECK_AS(node_count == graph.size(), InvalidGraphError)
-      << "packed index covers " << node_count << " nodes, graph has " << graph.size();
-  std::vector<PackedIndexEntry> entries(node_count);
-  std::uint64_t cursor = 0;
-  std::int64_t total_bytes = 0;
-  for (std::uint32_t i = 0; i < node_count; ++i) {
-    PackedIndexEntry& entry = entries[i];
-    entry.floats = in.pod<std::uint64_t>();
-    entry.offset = in.pod<std::uint64_t>();
-    const std::int64_t expected =
-        runtime::PackedWeights::node_floats(graph.node(static_cast<ir::ValueId>(i)));
-    TEMCO_CHECK_AS(entry.floats == static_cast<std::uint64_t>(expected), InvalidGraphError)
-        << "node " << i << " stores " << entry.floats << " packed floats, this runtime's "
-        << "packer produces " << expected;
-    if (entry.floats == 0) {
-      TEMCO_CHECK_AS(entry.offset == 0, InvalidGraphError)
-          << "node " << i << " has no packed blob but a nonzero offset";
-      continue;
-    }
-    const std::uint64_t bytes = entry.floats * sizeof(float);  // bounded: floats was recomputed
-    TEMCO_CHECK_AS(entry.offset % kSectionAlignment == 0, InvalidGraphError)
-        << "node " << i << " packed blob at misaligned offset " << entry.offset;
-    TEMCO_CHECK_AS(entry.offset >= cursor, InvalidGraphError)
-        << "node " << i << " packed blob overlaps its predecessor";
-    TEMCO_CHECK_AS(entry.offset <= weight_section_bytes &&
-                       bytes <= weight_section_bytes - entry.offset,
-                   InvalidGraphError)
-        << "node " << i << " packed blob [" << entry.offset << ", +" << bytes
-        << ") exceeds the weight section's " << weight_section_bytes << " bytes";
-    cursor = entry.offset + bytes;
-    total_bytes += static_cast<std::int64_t>(bytes);
-  }
-  in.expect_exhausted("packed index section");
-  TEMCO_CHECK_AS(cursor == weight_section_bytes, InvalidGraphError)
-      << "weight section holds " << weight_section_bytes << " bytes, the index accounts for "
-      << cursor;
-  TEMCO_CHECK_AS(total_bytes == expected_packed_bytes, InvalidGraphError)
-      << "packed index totals " << total_bytes << " bytes, meta stamps "
-      << expected_packed_bytes;
-  return entries;
 }
 
 // ---- container --------------------------------------------------------------
 
 struct ParsedSections {
-  SectionEntry meta, graph, plans, index, weights;
+  SectionEntry meta, graph, weights;
 };
 
 /// Header + table validation: everything here runs before any section byte
 /// is interpreted.  Offsets are validated against the real file size with
 /// overflow-safe arithmetic, sections may not overlap the header, the table,
-/// or each other, all five known sections must appear exactly once, and an
+/// or each other, all three known sections must appear exactly once, and an
 /// unknown section id is an error (see the version-bump rule in the header).
 ParsedSections parse_container(Reader& in, std::size_t file_size) {
   char magic[sizeof(kArtifactMagic)];
@@ -361,9 +166,9 @@ ParsedSections parse_container(Reader& in, std::size_t file_size) {
       << "artifact is format v" << version << ", this runtime supports only v"
       << kArtifactFormatVersion << "; recompile the model with this release";
   const auto section_count = in.pod<std::uint32_t>();
-  TEMCO_CHECK_AS(section_count == 5, InvalidGraphError)
-      << "artifact v" << kArtifactFormatVersion << " has exactly 5 sections, file declares "
-      << section_count;
+  TEMCO_CHECK_AS(section_count == kSectionCount, InvalidGraphError)
+      << "artifact v" << kArtifactFormatVersion << " has exactly " << kSectionCount
+      << " sections, file declares " << section_count;
   const auto file_bytes = in.pod<std::uint64_t>();
   TEMCO_CHECK_AS(file_bytes == file_size, InvalidGraphError)
       << "header declares " << file_bytes << " file bytes, actual size is " << file_size;
@@ -407,9 +212,9 @@ ParsedSections parse_container(Reader& in, std::size_t file_size) {
   }
 
   ParsedSections sections;
-  bool seen[6] = {};
+  bool seen[kSectionCount + 1] = {};
   for (const SectionEntry& entry : entries) {
-    TEMCO_CHECK_AS(entry.id >= 1 && entry.id <= 5, InvalidGraphError)
+    TEMCO_CHECK_AS(entry.id >= 1 && entry.id <= kSectionCount, InvalidGraphError)
         << "unknown section id " << entry.id
         << " (new sections require an artifact format version bump)";
     TEMCO_CHECK_AS(!seen[entry.id], InvalidGraphError) << "duplicate section id " << entry.id;
@@ -417,8 +222,6 @@ ParsedSections parse_container(Reader& in, std::size_t file_size) {
     switch (static_cast<ArtifactSection>(entry.id)) {
       case ArtifactSection::kMeta: sections.meta = entry; break;
       case ArtifactSection::kGraph: sections.graph = entry; break;
-      case ArtifactSection::kPlans: sections.plans = entry; break;
-      case ArtifactSection::kPackedIndex: sections.index = entry; break;
       case ArtifactSection::kPackedWeights: sections.weights = entry; break;
     }
   }
@@ -453,24 +256,24 @@ class ArtifactCodec {
  public:
   static std::string save(const CompiledModel& model) {
     // Payloads first; the header and table are a function of their sizes.
-    Writer meta, graph, plans, index, weights;
+    // The packed-weight buffer is already in its on-disk layout.
+    Writer meta, graph;
     write_meta(meta, model);
     ir::save_graph(model.graph(1), graph);
-    write_plans(plans, model);
-    write_packed(index, weights, model);
+    const runtime::PackedWeights& packed = model.prepack();
 
     struct Pending {
       ArtifactSection id;
-      const Writer* payload;
+      std::string_view payload;
       std::size_t alignment;
       std::uint64_t offset = 0;
     };
     Pending order[] = {
-        {ArtifactSection::kMeta, &meta, kSectionAlignment},
-        {ArtifactSection::kGraph, &graph, kSectionAlignment},
-        {ArtifactSection::kPlans, &plans, kSectionAlignment},
-        {ArtifactSection::kPackedIndex, &index, kSectionAlignment},
-        {ArtifactSection::kPackedWeights, &weights, kWeightSectionAlignment},
+        {ArtifactSection::kMeta, meta.bytes(), kSectionAlignment},
+        {ArtifactSection::kGraph, graph.bytes(), kSectionAlignment},
+        {ArtifactSection::kPackedWeights,
+         {reinterpret_cast<const char*>(packed.data()), packed.buffer_bytes()},
+         kWeightSectionAlignment},
     };
 
     const std::size_t table_bytes = std::size(order) * kTableEntryBytes;
@@ -478,7 +281,7 @@ class ArtifactCodec {
     for (Pending& p : order) {
       cursor = (cursor + p.alignment - 1) / p.alignment * p.alignment;
       p.offset = cursor;
-      cursor += p.payload->size();
+      cursor += p.payload.size();
     }
     const std::uint64_t file_bytes = cursor;
 
@@ -487,8 +290,8 @@ class ArtifactCodec {
       table.pod(static_cast<std::uint32_t>(p.id));
       table.pod(std::uint32_t{0});
       table.pod(p.offset);
-      table.pod(static_cast<std::uint64_t>(p.payload->size()));
-      table.pod(fnv1a64(p.payload->bytes().data(), p.payload->size()));
+      table.pod(static_cast<std::uint64_t>(p.payload.size()));
+      table.pod(fnv1a64(p.payload.data(), p.payload.size()));
     }
 
     Writer out;
@@ -503,30 +306,27 @@ class ArtifactCodec {
     for (const Pending& p : order) {
       out.align_to(p.alignment);
       TEMCO_CHECK(out.size() == p.offset) << "artifact writer layout drift";
-      out.raw(p.payload->bytes().data(), p.payload->size());
+      out.raw(p.payload.data(), p.payload.size());
     }
     TEMCO_CHECK(out.size() == file_bytes) << "artifact writer layout drift";
     return out.take();
   }
 
-  /// `owner` non-null: borrow packed weights zero-copy from the (4096-
-  /// aligned, kept-alive) mapping.  Null: copy them out of the caller's
-  /// unaligned, transient buffer.
+  /// Parses the `size` bytes at `data`, which `owner` keeps alive; the
+  /// loaded model's packed weights point into them.
   static std::shared_ptr<const CompiledModel> load(const unsigned char* data, std::size_t size,
                                                    std::shared_ptr<const void> owner) {
     Reader top(data, size);
     const ParsedSections sections = parse_container(top, size);
     const SectionView meta_view(data, sections.meta, "meta");
     const SectionView graph_view(data, sections.graph, "graph");
-    const SectionView plans_view(data, sections.plans, "plans");
-    const SectionView index_view(data, sections.index, "packed index");
     const SectionView weights_view(data, sections.weights, "packed weights");
 
     auto model = std::shared_ptr<CompiledModel>(new CompiledModel());
 
     Reader meta_in = meta_view.reader();
-    const MetaCounts counts = read_meta(meta_in, model->options_, model->stats_,
-                                        model->pack_layout_version_, model->kernel_isa_);
+    read_meta(meta_in, model->options_, model->stats_, model->pack_layout_version_,
+              model->kernel_isa_);
     // Stamp gate before any expensive parsing: blobs in an incompatible
     // panel layout must never reach a kernel.
     kernels::gemm::check_pack_layout(model->pack_layout_version_);
@@ -540,72 +340,11 @@ class ArtifactCodec {
           << "artifact graph input " << node.name << " is not a batch-1 template";
     }
 
-    // Restamp the batch variants exactly as compile() does; the artifact
-    // stores one graph, not max_batch near-copies.
-    model->variants_.reserve(model->options_.max_batch);
-    for (std::size_t k = 1; k <= model->options_.max_batch; ++k) {
-      ir::Graph variant =
-          k == 1 ? std::move(base) : ir::rebatched(model->variants_.front(), static_cast<std::int64_t>(k));
-      variant.verify();
-      model->variants_.push_back(std::move(variant));
-    }
-
-    Reader plans_in = plans_view.reader();
-    const auto plan_count = plans_in.pod<std::uint32_t>();
-    TEMCO_CHECK_AS(plan_count == model->options_.max_batch, InvalidGraphError)
-        << "artifact stores " << plan_count << " plans for max_batch "
-        << model->options_.max_batch;
-    model->plans_.reserve(plan_count);
-    for (std::size_t k = 1; k <= plan_count; ++k) {
-      runtime::ArenaPlan plan =
-          read_plan(plans_in, model->variants_[k - 1], model->options_.arena_canaries);
-      model->slab_bytes_ = std::max(model->slab_bytes_, plan.arena_bytes);
-      model->plans_.push_back(std::move(plan));
-    }
-    plans_in.expect_exhausted("plans section");
-    TEMCO_CHECK_AS(model->slab_bytes_ == counts.slab_bytes, InvalidGraphError)
-        << "plans need a " << model->slab_bytes_ << "-byte slab, meta stamps "
-        << counts.slab_bytes;
-
-    const ir::Graph& b1 = model->variants_.front();
-    Reader index_in = index_view.reader();
-    const std::vector<PackedIndexEntry> entries =
-        read_packed_index(index_in, b1, weights_view.bytes(), counts.packed_bytes);
-
-    runtime::PackedWeights& packed = model->prepack_;
-    packed.bytes = counts.packed_bytes;
-    if (owner != nullptr) {
-      // Zero-copy: the section is 4096-aligned in the file and the mapping
-      // base is 4096-aligned, so every 64-aligned blob offset stays aligned.
-      packed.views.resize(entries.size(), nullptr);
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].floats == 0) continue;
-        packed.views[i] =
-            reinterpret_cast<const float*>(weights_view.data() + entries[i].offset);
-      }
-      model->artifact_owner_ = std::move(owner);
-    } else {
-      packed.blobs.resize(entries.size());
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        if (entries[i].floats == 0) continue;
-        auto& blob = packed.blobs[i];
-        blob.resize(static_cast<std::size_t>(entries[i].floats));
-        std::memcpy(blob.data(), weights_view.data() + entries[i].offset,
-                    blob.size() * sizeof(float));
-      }
-    }
-
-    model->weight_bytes_ = b1.total_weight_bytes();
-    TEMCO_CHECK_AS(model->weight_bytes_ == counts.weight_bytes, InvalidGraphError)
-        << "graph carries " << model->weight_bytes_ << " weight bytes, meta stamps "
-        << counts.weight_bytes;
-
-    for (const ir::Node& node : b1.nodes()) {
-      if (node.kind == ir::OpKind::kInput) model->input_shapes_.push_back(node.out_shape);
-    }
-    for (const ir::ValueId out : b1.outputs()) {
-      model->output_shapes_.push_back(b1.node(out).out_shape);
-    }
+    // The artifact stores one schedule; variants and plans are rebuilt from
+    // it exactly as compile() builds them.
+    model->stamp_variants(std::move(base));
+    model->prepack_ = runtime::PackedWeights::view(model->variants_.front(), std::move(owner),
+                                                   weights_view.data(), weights_view.bytes());
     model->revalidate_kernel_dispatch();
     return model;
   }
@@ -637,7 +376,13 @@ std::shared_ptr<const CompiledModel> convert_foreign(Fn&& fn) {
 
 std::shared_ptr<const CompiledModel> load_artifact_bytes(const void* data, std::size_t size) {
   return convert_foreign([&] {
-    return ArtifactCodec::load(static_cast<const unsigned char*>(data), size, nullptr);
+    // One aligned copy of exactly `size` bytes: it satisfies the weight
+    // section's alignment whatever the caller's buffer, and a sanitizer
+    // still catches any read past its end.
+    std::shared_ptr<unsigned char> copy = aligned_bytes(size);
+    if (size > 0) std::memcpy(copy.get(), data, size);
+    const unsigned char* bytes = copy.get();
+    return ArtifactCodec::load(bytes, size, std::move(copy));
   });
 }
 

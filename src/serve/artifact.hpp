@@ -1,13 +1,15 @@
 // On-disk serving artifacts: CompiledModel frozen to a versioned program.
 //
-// An artifact file is everything a server needs to start serving a model
-// without re-running the compiler: the post-pipeline batch-1 schedule (every
-// batch variant is a deterministic restamp of it), every validated arena
-// plan, the shared packed-weight blob, and the compatibility stamps that tell
-// a future runtime whether it may trust those bytes.  Loading is designed to
-// be dominated by page faults, not compute: the packed-weight section is
-// page-aligned so MappedFile can hand out zero-copy views, and N processes
-// mapping the same artifact share one physical copy of the weights.
+// An artifact file holds what a server needs to start serving a model
+// without re-running the compiler and what the loader cannot derive: the
+// post-pipeline batch-1 schedule, the shared packed-weight buffer, and the
+// compatibility stamps that tell a future runtime whether it may trust those
+// bytes.  Batch variants and arena plans are functions of the schedule and
+// of this host's thread pool (fused-kernel scratch has one slot per lane),
+// so the loader rebuilds them with the code compile() runs instead of
+// reading them.  The packed-weight section is page-aligned so MappedFile can
+// hand out zero-copy views, and N processes mapping the same artifact share
+// one physical copy of the weights.
 //
 // File layout (all integers little-endian; enforced at compile time):
 //
@@ -22,23 +24,23 @@
 //     u32 id, u32 reserved(0), u64 offset, u64 bytes, u64 checksum
 //   sections, each at a 64-byte-aligned offset, non-overlapping:
 //     1 kMeta           stamps (format/pack-layout/ISA), compile options,
-//                       pipeline stats, and the byte counts the loader
-//                       recomputes and cross-checks
+//                       pipeline stats
 //     2 kGraph          the optimized batch-1 graph, in the ir::save_graph
 //                       format (its own magic/version/hardening included)
-//     3 kPlans          one serialized ArenaPlan per batch variant
-//     4 kPackedIndex    per-node (float_count, offset) into section 5
-//     5 kPackedWeights  raw packed floats; section offset 4096-aligned in
-//                       the file, each blob 64-aligned within the section
+//     3 kPackedWeights  the runtime::PackedWeights buffer as-is: blob i at
+//                       the next 64-aligned offset in node order; section
+//                       offset 4096-aligned in the file
 //
 // Trust model: every length, offset, count, and enum is bounds-checked
-// before anything dereferences or allocates from it, section checksums are
-// verified before parsing, stored plans are re-validated against recomputed
-// liveness, and stored blob sizes are compared against what this binary's
-// packers would produce — a stored value is never trusted, only compared.
-// Any violation throws a typed temco::Error (InvalidGraphError for malformed
-// or incompatible bytes); hostile input never crashes the process
-// (tests/test_artifact_hostile.cpp).
+// before anything dereferences or allocates from it, and section checksums
+// are verified before parsing.  Nothing derivable is stored, so nothing
+// derivable can be forged: the loader restamps max_batch variants of the
+// stored graph (max_batch is capped at kMaxArtifactBatch, so load work is
+// bounded by that times the graph size), plans and validates each arena
+// itself, and requires the weight section to be exactly as long as this
+// binary's packers lay the graph out.  Any violation throws a typed
+// temco::Error (InvalidGraphError for malformed or incompatible bytes);
+// hostile input never crashes the process (tests/test_artifact_hostile.cpp).
 #pragma once
 
 #include <cstdint>
@@ -74,31 +76,33 @@ inline constexpr char kArtifactMagic[8] = {'T', 'M', 'C', 'O', 'A', 'R', 'T', '\
 /// v4 — meta drops the pipeline-level budget (TemcoOptions::max_arena_bytes
 /// is gone), leaving CompileOptions::max_arena_bytes as the one budget stamp;
 /// v5 — meta drops TemcoOptions::verify_passes and oracle_seed (verification
-/// is always on, the oracle seed is fixed) and OptimizeStats::add_merges.
-inline constexpr std::uint32_t kArtifactFormatVersion = 5;
+/// is always on, the oracle seed is fixed) and OptimizeStats::add_merges;
+/// v6 — three sections: the arena-plan and packed-index sections and meta's
+/// slab/weight/packed byte totals are gone, since the loader derives them
+/// from the graph (kPackedWeights is renumbered 3).
+inline constexpr std::uint32_t kArtifactFormatVersion = 6;
 
 /// Section identifiers; see the file-layout comment above.
 enum class ArtifactSection : std::uint32_t {
   kMeta = 1,
   kGraph = 2,
-  kPlans = 3,
-  kPackedIndex = 4,
-  kPackedWeights = 5,
+  kPackedWeights = 3,
 };
 
 /// Serializes `model` to artifact bytes (the pure, testable core of
 /// CompiledModel::save).
 std::string save_artifact_bytes(const CompiledModel& model);
 
-/// Parses artifact bytes from an arbitrary in-memory buffer.  Packed weights
-/// are copied out (the buffer makes no alignment or lifetime promises) — this
-/// is the hostile-corpus entry point, where the bytes are the adversary.
+/// Parses artifact bytes from an arbitrary in-memory buffer.  The bytes are
+/// first copied into one aligned heap buffer (the caller's makes no alignment
+/// or lifetime promises) that the returned model co-owns — this is the
+/// hostile-corpus entry point, where the bytes are the adversary.
 std::shared_ptr<const CompiledModel> load_artifact_bytes(const void* data, std::size_t size);
 
 /// Parses an artifact from a mapped file, keeping the mapping alive inside
-/// the returned model and borrowing packed weights zero-copy when the
-/// mapping's alignment allows (it always does: MappedFile guarantees
-/// 4096-byte alignment, and the weight section is 4096-aligned in the file).
+/// the returned model and borrowing packed weights zero-copy (MappedFile
+/// guarantees 4096-byte alignment, and the weight section is 4096-aligned in
+/// the file).
 std::shared_ptr<const CompiledModel> load_artifact(
     std::shared_ptr<const support::MappedFile> file);
 

@@ -10,6 +10,16 @@
 
 namespace temco::serve {
 
+namespace {
+
+runtime::ArenaOptions arena_options(const CompileOptions& options) {
+  runtime::ArenaOptions arena;
+  if (options.arena_canaries) arena.canary_bytes = kTensorAlignment;
+  return arena;
+}
+
+}  // namespace
+
 std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& graph,
                                                             CompileOptions options) {
   TEMCO_CHECK_AS(options.max_batch >= 1, InvalidGraphError)
@@ -26,9 +36,6 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
   if (options.optimize) base = core::optimize(base, options.temco, &model->stats_);
   base.verify();
 
-  runtime::ArenaOptions arena_options;
-  if (options.arena_canaries) arena_options.canary_bytes = kTensorAlignment;
-
   const std::int64_t budget = options.max_arena_bytes;
   if (budget > 0) {
     // Search the widest variant: its plan is the slab every session allocates.
@@ -39,7 +46,7 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
                            : ir::rebatched(base, static_cast<std::int64_t>(options.max_batch));
     runtime::BudgetOptions budget_options;
     budget_options.max_bytes = budget;
-    budget_options.arena = arena_options;
+    budget_options.arena = arena_options(options);
     runtime::BudgetScheduleResult scheduled = runtime::schedule_for_budget(widest, budget_options);
     TEMCO_CHECK_AS(scheduled.met, ResourceExhaustedError)
         << "arena budget of " << budget << " B is unmeetable at batch " << options.max_batch
@@ -51,44 +58,50 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
     base.verify();
   }
 
-  model->variants_.reserve(options.max_batch);
-  model->plans_.reserve(options.max_batch);
-  for (std::size_t k = 1; k <= options.max_batch; ++k) {
-    ir::Graph variant = k == 1 ? base : ir::rebatched(base, static_cast<std::int64_t>(k));
-    variant.verify();
-    runtime::ArenaPlan plan = runtime::plan_arena(variant, arena_options);
-    runtime::validate_arena_plan(variant, plan);
-    model->slab_bytes_ = std::max(model->slab_bytes_, plan.arena_bytes);
-    model->variants_.push_back(std::move(variant));
-    model->plans_.push_back(std::move(plan));
-  }
-
-  // Defensive: the searched schedule met the budget at max_batch, and batch
-  // restamping preserves the order, so no variant should pack wider — but the
-  // slab is the contract sessions size by, so it is re-checked, not assumed.
-  TEMCO_CHECK_AS(budget <= 0 || model->slab_bytes_ <= budget, ResourceExhaustedError)
-      << "validated slab of " << model->slab_bytes_ << " B exceeds the arena budget of "
-      << budget << " B after batch restamping";
+  model->stamp_variants(std::move(base));
 
   // One packing serves all variants: it depends on weight contents and
   // output width only, and the variants share weight tensors by handle.
   model->prepack_ = runtime::PackedWeights::build(model->variants_.front());
-  model->weight_bytes_ = model->variants_.front().total_weight_bytes();
 
   // Provenance stamp: which kernel tier compiled this artifact and which
   // packed-panel layout its blobs use (revalidate_kernel_dispatch).
   model->kernel_isa_ = kernels::gemm::active_isa();
   model->pack_layout_version_ = kernels::gemm::kPackLayoutVersion;
+  return model;
+}
 
-  const ir::Graph& b1 = model->variants_.front();
+void CompiledModel::stamp_variants(ir::Graph base) {
+  const runtime::ArenaOptions arena = arena_options(options_);
+  variants_.reserve(options_.max_batch);
+  plans_.reserve(options_.max_batch);
+  for (std::size_t k = 1; k <= options_.max_batch; ++k) {
+    ir::Graph variant =
+        k == 1 ? std::move(base) : ir::rebatched(variants_.front(), static_cast<std::int64_t>(k));
+    runtime::ArenaPlan plan = runtime::plan_arena(variant, arena);  // verifies `variant` first
+    runtime::validate_arena_plan(variant, plan);
+    slab_bytes_ = std::max(slab_bytes_, plan.arena_bytes);
+    variants_.push_back(std::move(variant));
+    plans_.push_back(std::move(plan));
+  }
+
+  // A budgeted schedule met the budget at max_batch when it was searched,
+  // and batch restamping preserves the order, but the slab is the contract
+  // sessions size by — and fused-kernel scratch scales with this process's
+  // pool width — so it is re-checked, not assumed.
+  const std::int64_t budget = options_.max_arena_bytes;
+  TEMCO_CHECK_AS(budget <= 0 || slab_bytes_ <= budget, ResourceExhaustedError)
+      << "validated slab of " << slab_bytes_ << " B exceeds the arena budget of " << budget
+      << " B";
+
+  const ir::Graph& b1 = variants_.front();
+  weight_bytes_ = b1.total_weight_bytes();
   for (const ir::Node& node : b1.nodes()) {
-    if (node.kind == ir::OpKind::kInput) model->input_shapes_.push_back(node.out_shape);
+    if (node.kind == ir::OpKind::kInput) input_shapes_.push_back(node.out_shape);
   }
   for (const ir::ValueId out : b1.outputs()) {
-    model->output_shapes_.push_back(b1.node(out).out_shape);
+    output_shapes_.push_back(b1.node(out).out_shape);
   }
-
-  return model;
 }
 
 void CompiledModel::revalidate_kernel_dispatch() const {

@@ -77,10 +77,9 @@ class CompiledModel {
 
   // ---- on-disk artifacts (serve/artifact.hpp) ------------------------------
 
-  /// Freezes this model to a versioned artifact file: every batch variant's
-  /// schedule, every validated arena plan, the shared packed-weight blob, and
-  /// the compatibility stamps, section-tabled and checksummed.  Throws
-  /// temco::Error on I/O failure.
+  /// Freezes this model to a versioned artifact file: the batch-1 schedule,
+  /// the shared packed-weight buffer, and the compatibility stamps,
+  /// section-tabled and checksummed.  Throws temco::Error on I/O failure.
   void save(const std::string& path) const;
 
   /// Loads an artifact written by save().  The packed-weight section is
@@ -88,7 +87,9 @@ class CompiledModel {
   /// the mapping); every length, offset, count, and enum in the file is
   /// bounds-checked and every stamp re-validated before anything is trusted —
   /// malformed or incompatible input throws a typed temco::Error, never
-  /// crashes.  The result is interchangeable with compile()'s.
+  /// crashes.  Batch variants and arena plans are rebuilt from the schedule
+  /// by the same code compile() runs, so the result is interchangeable with
+  /// compile()'s.
   static std::shared_ptr<const CompiledModel> load(const std::string& path);
 
   std::size_t max_batch() const { return options_.max_batch; }
@@ -150,6 +151,13 @@ class CompiledModel {
 
   CompiledModel() = default;
 
+  /// Everything after the schedule is fixed, shared by compile() and load():
+  /// stamps variant k = `base` restamped to batch k for k in [1, max_batch],
+  /// plans and validates each one's arena, sizes the slab (capped by
+  /// options_.max_arena_bytes), and records weight bytes and the request
+  /// signature.
+  void stamp_variants(ir::Graph base);
+
   std::size_t index(std::size_t batch) const {
     TEMCO_CHECK(batch >= 1 && batch <= variants_.size())
         << "batch " << batch << " outside compiled range [1, " << variants_.size() << "]";
@@ -167,11 +175,6 @@ class CompiledModel {
   std::uint32_t pack_layout_version_ = 0;
   std::vector<Shape> input_shapes_;   ///< batch-1 input templates, in input order
   std::vector<Shape> output_shapes_;  ///< batch-1 output templates, in output order
-
-  /// Keep-alive for zero-copy loads: when prepack_.views borrows from an
-  /// mmapped artifact, this co-owns the mapping.  Null for compiled models
-  /// and copy-mode loads.
-  std::shared_ptr<const void> artifact_owner_;
 };
 
 }  // namespace temco::serve

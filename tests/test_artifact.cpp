@@ -1,10 +1,10 @@
 // Artifact round-trip differential battery: load(save(compile(m))) must be
 // indistinguishable from compile(m) — bitwise-identical outputs for every
-// batch variant on both execution paths, byte-identical plans and packed
-// blobs — across the model zoo in original, decomposed, and TeMCO-optimized
-// form.  Plus the version-skew contract: the checked-in golden artifact keeps
-// loading, and a synthetically version-bumped copy is rejected with a typed
-// error naming both versions.
+// batch variant on both execution paths, field-identical plans and
+// byte-identical packed blobs — across the model zoo in original,
+// decomposed, and TeMCO-optimized form.  Plus the version-skew contract: the
+// checked-in golden artifact keeps loading, and a synthetically
+// version-bumped copy is rejected with a typed error naming both versions.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -227,8 +227,20 @@ TEST(ArtifactRoundTrip, ResaveIsByteIdentical) {
   EXPECT_EQ(bytes, serve::save_artifact_bytes(*loaded));
 }
 
-// File loads go through MappedFile; when the model has packed blobs they
-// must be borrowed from the mapping (views mode), not copied.
+/// Every blob pointer of `model`, skipping nodes that pack nothing.
+std::vector<const float*> blob_pointers(const CompiledModel& model) {
+  std::vector<const float*> blobs;
+  const runtime::PackedWeights& packed = model.prepack();
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    const float* blob = packed.blob(static_cast<ir::ValueId>(i));
+    if (blob != nullptr) blobs.push_back(blob);
+  }
+  return blobs;
+}
+
+// File loads go through MappedFile; the packed blobs must be borrowed from
+// the mapping, not copied.  In-memory loads copy the caller's bytes once and
+// never point into the caller's buffer, which makes no lifetime promise.
 TEST(ArtifactRoundTrip, FileLoadBorrowsPackedWeightsZeroCopy) {
   const auto compiled = compile_variant("resnet34", Variant::kOptimized);
   ASSERT_GT(compiled->packed_weight_bytes(), 0) << "fixture model should have packed blobs";
@@ -237,32 +249,32 @@ TEST(ArtifactRoundTrip, FileLoadBorrowsPackedWeightsZeroCopy) {
 
   const auto file = support::MappedFile::open(path);
   const auto loaded = serve::load_artifact(file);
-  EXPECT_TRUE(loaded->prepack().blobs.empty());
-  ASSERT_FALSE(loaded->prepack().views.empty());
-  // Every borrowed blob points into the mapping.
   const auto* begin = reinterpret_cast<const float*>(file->data());
   const auto* end = reinterpret_cast<const float*>(file->data() + file->size());
-  bool saw_blob = false;
-  for (const float* view : loaded->prepack().views) {
-    if (view == nullptr) continue;
-    saw_blob = true;
-    EXPECT_TRUE(view >= begin && view < end);
-    EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(view) % kTensorAlignment);
+  const std::vector<const float*> mapped = blob_pointers(*loaded);
+  ASSERT_FALSE(mapped.empty());
+  for (const float* blob : mapped) {
+    EXPECT_TRUE(blob >= begin && blob < end);
+    EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(blob) % kTensorAlignment);
   }
-  EXPECT_TRUE(saw_blob);
 
-  // In-memory loads make no alignment/lifetime promises, so they copy.
   const std::string bytes = read_file(path);
   const auto copied = serve::load_artifact_bytes(bytes.data(), bytes.size());
-  EXPECT_TRUE(copied->prepack().views.empty());
-  EXPECT_FALSE(copied->prepack().blobs.empty());
+  const auto* caller_begin = reinterpret_cast<const float*>(bytes.data());
+  const auto* caller_end = reinterpret_cast<const float*>(bytes.data() + bytes.size());
+  const std::vector<const float*> heap = blob_pointers(*copied);
+  ASSERT_EQ(mapped.size(), heap.size());
+  for (const float* blob : heap) {
+    EXPECT_FALSE(blob >= caller_begin && blob < caller_end);
+    EXPECT_EQ(0u, reinterpret_cast<std::uintptr_t>(blob) % kTensorAlignment);
+  }
   std::remove(path.c_str());
 }
 
 // ---- version skew -----------------------------------------------------------
 
 std::string golden_path() {
-  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v5.bin";
+  return std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_v6.bin";
 }
 
 // The checked-in golden (written by `temco_artifact golden` at v-current)
@@ -286,11 +298,12 @@ TEST(ArtifactVersionSkew, GoldenArtifactLoads) {
 // The previous formats' goldens stay checked in precisely so this test can
 // exist: a v1 file (meta lacks the v2 arena-budget stamps), a v2 file (its
 // narrow strided conv stores no packed blob), a v3 file (meta still holds
-// the pipeline-level budget) and a v4 file (meta still holds verify_passes,
-// oracle_seed and add_merges) must fail closed with a typed error naming
+// the pipeline-level budget), a v4 file (meta still holds verify_passes,
+// oracle_seed and add_merges) and a v5 file (five sections, with stored
+// arena plans and a packed index) must fail closed with a typed error naming
 // both versions, never be half-parsed.
 TEST(ArtifactVersionSkew, PreviousVersionGoldenRejectedNamingBothVersions) {
-  for (const std::string old_version : {"v1", "v2", "v3", "v4"}) {
+  for (const std::string old_version : {"v1", "v2", "v3", "v4", "v5"}) {
     const std::string bytes = read_file(std::string(TEMCO_TEST_DATA_DIR) + "/golden_artifact_" +
                                         old_version + ".bin");
     try {

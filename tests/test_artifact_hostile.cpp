@@ -6,8 +6,8 @@
 // crash, hang, throw foreign exception types, or drive huge allocations.
 // (CI additionally runs this suite under asan/ubsan.)
 //
-// Mutations that must reach the *deep* validators (plan liveness, packed
-// index, stamp checks) recompute the section and table checksums after
+// Mutations that must reach the *deep* validators (meta bounds, stamp checks,
+// the packed-weight length) recompute the section and table checksums after
 // patching — otherwise the checksum layer masks everything behind one error.
 #include <gtest/gtest.h>
 
@@ -29,10 +29,10 @@ using serve::CompiledModel;
 
 constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kTableEntryBytes = 32;
-constexpr std::size_t kSectionCount = 5;
+constexpr std::size_t kSectionCount = 3;
 
 /// One artifact with every section populated: optimized resnet34 has fused
-/// kernels (scratch region), packed blobs, and a multi-variant plan set.
+/// kernels (scratch region), packed blobs, and two batch variants.
 const std::string& sample_artifact() {
   static const std::string bytes = [] {
     models::ModelConfig config;
@@ -193,7 +193,7 @@ TEST(HostileArtifactTest, BitFlipsNeverEscapeAsForeignFailures) {
       ++rejected;
     }
   }
-  // Checksums cover the header-adjacent table and all five sections, so the
+  // Checksums cover the header-adjacent table and all three sections, so the
   // overwhelming majority of flips must be caught.
   EXPECT_GT(rejected, loaded * 10);
 }
@@ -215,7 +215,7 @@ TEST(HostileArtifactTest, EmptyAndTinyInputsRejected) {
 TEST(HostileArtifactTest, SectionCountTamperedRejected) {
   std::string bytes = sample_artifact();
   write_pod<std::uint32_t>(bytes, 12, 17);
-  expect_rejects(bytes, "exactly 5 sections", "section count");
+  expect_rejects(bytes, "exactly 3 sections", "section count");
 }
 
 TEST(HostileArtifactTest, FileSizeFieldTamperedRejected) {
@@ -247,16 +247,16 @@ TEST(HostileArtifactTest, SectionChecksumMismatchRejected) {
 
 TEST(HostileArtifactTest, UnknownSectionIdRejected) {
   std::string bytes = sample_artifact();
-  const TableEntry plans = find_section(bytes, serve::ArtifactSection::kPlans);
-  write_pod<std::uint32_t>(bytes, plans.entry_offset, 6);
+  const TableEntry weights = find_section(bytes, serve::ArtifactSection::kPackedWeights);
+  write_pod<std::uint32_t>(bytes, weights.entry_offset, 6);
   refresh_checksums(bytes);
   expect_rejects(bytes, "unknown section id", "unknown id");
 }
 
 TEST(HostileArtifactTest, DuplicateSectionIdRejected) {
   std::string bytes = sample_artifact();
-  const TableEntry plans = find_section(bytes, serve::ArtifactSection::kPlans);
-  write_pod<std::uint32_t>(bytes, plans.entry_offset,
+  const TableEntry weights = find_section(bytes, serve::ArtifactSection::kPackedWeights);
+  write_pod<std::uint32_t>(bytes, weights.entry_offset,
                            static_cast<std::uint32_t>(serve::ArtifactSection::kMeta));
   refresh_checksums(bytes);
   expect_rejects(bytes, "duplicate section id", "duplicate id");
@@ -326,67 +326,28 @@ TEST(HostileArtifactTest, OversizedMaxBatchRejected) {
   expect_rejects(bytes, "implausible max_batch", "oversized max_batch");
 }
 
+TEST(HostileArtifactTest, OversizedIntraOpThreadsRejected) {
+  // A session starts max_batch * (intra_op_threads - 1) threads, so the
+  // stamp is bounded at load, before any Session exists.
+  std::string bytes = sample_artifact();
+  const TableEntry meta = find_section(bytes, serve::ArtifactSection::kMeta);
+  // intra_op_threads is the u64 after max_batch.
+  write_pod<std::uint64_t>(bytes, static_cast<std::size_t>(meta.offset) + 16, 1ull << 20);
+  refresh_checksums(bytes);
+  expect_rejects(bytes, "implausible intra_op_threads", "oversized intra_op_threads");
+}
+
 // ---- deep-section corruption (checksums recomputed) -------------------------
 
-TEST(HostileArtifactTest, PlanLiveRangeTamperRejected) {
+TEST(HostileArtifactTest, PackedWeightLengthMismatchRejected) {
+  // The weight section must be exactly as long as this binary's packers lay
+  // out the stored graph; a shortened section is not read past its end.
   std::string bytes = sample_artifact();
-  const TableEntry plans = find_section(bytes, serve::ArtifactSection::kPlans);
-  // plans: u32 plan_count, u32 block_count, then block 0 =
-  // i32 id, i64 offset, i64 bytes, i32 begin, i32 end.
-  const std::size_t begin_pos = static_cast<std::size_t>(plans.offset) + 4 + 4 + 4 + 8 + 8;
-  write_pod<std::int32_t>(bytes, begin_pos, read_pod<std::int32_t>(bytes, begin_pos) + 1);
+  const TableEntry weights = find_section(bytes, serve::ArtifactSection::kPackedWeights);
+  ASSERT_GT(weights.bytes, 64u) << "sample artifact has no packed blobs";
+  write_pod<std::uint64_t>(bytes, weights.entry_offset + 16, weights.bytes - 64);
   refresh_checksums(bytes);
-  expect_rejects(bytes, "recomputed liveness", "plan range tamper");
-}
-
-TEST(HostileArtifactTest, PlanBlockIdTamperRejected) {
-  std::string bytes = sample_artifact();
-  const TableEntry plans = find_section(bytes, serve::ArtifactSection::kPlans);
-  const std::size_t id_pos = static_cast<std::size_t>(plans.offset) + 4 + 4;
-  write_pod<std::int32_t>(bytes, id_pos, 5);
-  refresh_checksums(bytes);
-  expect_rejects(bytes, "value-indexed", "plan id tamper");
-}
-
-TEST(HostileArtifactTest, PackedFloatCountTamperRejected) {
-  std::string bytes = sample_artifact();
-  const TableEntry index = find_section(bytes, serve::ArtifactSection::kPackedIndex);
-  const std::uint32_t nodes =
-      read_pod<std::uint32_t>(bytes, static_cast<std::size_t>(index.offset));
-  bool patched = false;
-  for (std::uint32_t i = 0; i < nodes && !patched; ++i) {
-    const std::size_t entry = static_cast<std::size_t>(index.offset) + 4 + i * 16;
-    const auto floats = read_pod<std::uint64_t>(bytes, entry);
-    if (floats == 0) continue;
-    write_pod<std::uint64_t>(bytes, entry, floats + 1);
-    patched = true;
-  }
-  ASSERT_TRUE(patched) << "sample artifact has no packed blobs";
-  refresh_checksums(bytes);
-  expect_rejects(bytes, "packer produces", "packed float count tamper");
-}
-
-TEST(HostileArtifactTest, PackedOffsetOverlapRejected) {
-  std::string bytes = sample_artifact();
-  const TableEntry index = find_section(bytes, serve::ArtifactSection::kPackedIndex);
-  const std::uint32_t nodes =
-      read_pod<std::uint32_t>(bytes, static_cast<std::size_t>(index.offset));
-  // Rewrite the second nonzero entry's offset on top of the first's.
-  std::size_t first = 0;
-  int seen = 0;
-  for (std::uint32_t i = 0; i < nodes && seen < 2; ++i) {
-    const std::size_t entry = static_cast<std::size_t>(index.offset) + 4 + i * 16;
-    if (read_pod<std::uint64_t>(bytes, entry) == 0) continue;
-    if (seen == 0) {
-      first = entry;
-    } else {
-      write_pod<std::uint64_t>(bytes, entry + 8, read_pod<std::uint64_t>(bytes, first + 8));
-    }
-    ++seen;
-  }
-  ASSERT_EQ(2, seen) << "sample artifact needs at least two packed blobs";
-  refresh_checksums(bytes);
-  expect_rejects(bytes, "", "packed offset overlap");
+  expect_rejects(bytes, "the buffer holds", "short packed-weight section");
 }
 
 TEST(HostileArtifactTest, GraphSectionHostileHeaderRejected) {

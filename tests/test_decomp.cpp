@@ -121,6 +121,18 @@ struct SeqCase {
   std::int64_t stride, pad;
 };
 
+/// Names a case by method, stride and padding, e.g. "tucker_s1_p1".  gtest's
+/// default byte dump would include the struct's padding bytes, so the same
+/// source could list different ctest names in two builds.
+void PrintTo(const SeqCase& c, std::ostream* os) {
+  switch (c.method) {
+    case decomp::Method::kTucker: *os << "tucker"; break;
+    case decomp::Method::kCp: *os << "cp"; break;
+    case decomp::Method::kTt: *os << "tt"; break;
+  }
+  *os << "_s" << c.stride << "_p" << c.pad;
+}
+
 class DecomposedSequenceTest : public ::testing::TestWithParam<SeqCase> {};
 
 TEST_P(DecomposedSequenceTest, SequenceMatchesReconstructedConv) {

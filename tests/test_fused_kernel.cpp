@@ -29,6 +29,17 @@ struct FusedCase {
   std::int64_t pool_k, pool_s;
 };
 
+/// Names a case by its geometry, activation and pool, e.g.
+/// "n1_c2_8x8_r8_o3_relu_max2s2", so ctest lists a readable name instead of
+/// gtest's byte dump.
+void PrintTo(const FusedCase& c, std::ostream* os) {
+  *os << 'n' << c.n << "_c" << c.c_reduced << '_' << c.h << 'x' << c.w << "_r" << c.c_restored
+      << "_o" << c.c_out << (c.act == ir::ActKind::kRelu ? "_relu" : "_silu");
+  if (c.has_pool) {
+    *os << (c.pool_kind == ir::PoolKind::kMax ? "_max" : "_avg") << c.pool_k << 's' << c.pool_s;
+  }
+}
+
 /// Runs the unfused reference: conv1x1 → act → [pool] → conv1x1 with fully
 /// materialized intermediates.
 Tensor unfused_reference(const Tensor& x, const Tensor& w1, const Tensor& b1, const Tensor& w2,

@@ -137,6 +137,12 @@ struct Conv1x1Case {
   std::int64_t n, c_in, c_out, h, w;
 };
 
+/// Names a case by its geometry, e.g. "n1_c1_o1_1x1", so ctest lists a
+/// readable name instead of gtest's byte dump.
+void PrintTo(const Conv1x1Case& c, std::ostream* os) {
+  *os << 'n' << c.n << "_c" << c.c_in << "_o" << c.c_out << '_' << c.h << 'x' << c.w;
+}
+
 class Conv1x1TailTest : public ::testing::TestWithParam<Conv1x1Case> {};
 
 TEST_P(Conv1x1TailTest, MatchesRetainedNaiveKernel) {

@@ -51,6 +51,13 @@ struct ConvCase {
   std::int64_t n, c_in, h, w, c_out, k, stride, pad;
 };
 
+/// Names a case by its geometry, e.g. "n1_c1_5x5_o1_k3_s1_p1", so ctest
+/// lists a readable name instead of gtest's byte dump.
+void PrintTo(const ConvCase& c, std::ostream* os) {
+  *os << 'n' << c.n << "_c" << c.c_in << '_' << c.h << 'x' << c.w << "_o" << c.c_out << "_k"
+      << c.k << "_s" << c.stride << "_p" << c.pad;
+}
+
 class ConvParamTest : public ::testing::TestWithParam<ConvCase> {};
 
 TEST_P(ConvParamTest, MatchesNaiveReference) {

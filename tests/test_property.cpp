@@ -165,6 +165,12 @@ struct ChainShape {
   std::int64_t c1, c2, image, batch;
 };
 
+/// Names a case by its shape, e.g. "c16_c32_i16_n1", so ctest lists a
+/// readable name instead of gtest's byte dump.
+void PrintTo(const ChainShape& c, std::ostream* os) {
+  *os << 'c' << c.c1 << "_c" << c.c2 << "_i" << c.image << "_n" << c.batch;
+}
+
 class TemcoInvariantTest : public ::testing::TestWithParam<ChainShape> {};
 
 TEST_P(TemcoInvariantTest, NeverRegressesMemoryOrSemantics) {

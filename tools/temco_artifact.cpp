@@ -10,7 +10,7 @@
 //   temco_artifact golden <path>                   write the canonical tiny
 //                                                  artifact the version-skew
 //                                                  test pins (deterministic
-//                                                  across machines)
+//                                                  per ISA tier)
 //
 // save options:
 //   --image N        input resolution            (default 32)
@@ -168,10 +168,10 @@ int cmd_info(int argc, char** argv) {
 
 int cmd_golden(int argc, char** argv) {
   if (argc < 1) return usage();
-  // The golden must regenerate bit-for-bit on any machine: no optimization
-  // (so no fused kernels, whose scratch sizing depends on the local thread
-  // pool) and seeded weights.  See the version-bump rule in serve/artifact.hpp
-  // before touching this.
+  // The golden must regenerate bit-for-bit on any machine of the same ISA
+  // tier (meta stamps the tier): a fixed model, seeded weights, and nothing
+  // in the file that depends on the local thread pool.  See the version-bump
+  // rule in serve/artifact.hpp before touching this.
   models::ModelConfig config;
   config.batch = 1;
   config.image = 32;
