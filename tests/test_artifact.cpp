@@ -227,6 +227,48 @@ TEST(ArtifactRoundTrip, ResaveIsByteIdentical) {
   EXPECT_EQ(bytes, serve::save_artifact_bytes(*loaded));
 }
 
+// The packed-weight layout is a function of the graph alone: blob i starts
+// at the next 64-aligned offset after blob i-1 ends, in node order, padding
+// is zero, and `bytes` excludes it.  The artifact's weight section is that
+// buffer byte for byte, so a loaded model's buffer equals the compiled one.
+TEST(ArtifactRoundTrip, PackedBufferFollowsTheLayoutRule) {
+  const auto compiled = compile_variant("resnet34", Variant::kOptimized);
+  const runtime::PackedWeights& packed = compiled->prepack();
+  const ir::Graph& graph = compiled->graph(1);
+  ASSERT_EQ(graph.size(), packed.size());
+
+  std::int64_t cursor = 0;
+  std::int64_t blob_bytes = 0;
+  std::size_t blobs = 0;
+  for (std::size_t i = 0; i < packed.size(); ++i) {
+    const auto id = static_cast<ir::ValueId>(i);
+    const std::int64_t floats = runtime::PackedWeights::node_floats(graph.node(id));
+    if (floats == 0) {
+      EXPECT_EQ(nullptr, packed.blob(id)) << "node " << i;
+      continue;
+    }
+    const std::int64_t offset = align_up(cursor);
+    for (std::int64_t pad = cursor; pad < offset; ++pad) {
+      ASSERT_EQ(0, packed.data()[pad]) << "padding before node " << i;
+    }
+    EXPECT_EQ(reinterpret_cast<const float*>(packed.data() + offset), packed.blob(id))
+        << "node " << i;
+    cursor = offset + floats * static_cast<std::int64_t>(sizeof(float));
+    blob_bytes += floats * static_cast<std::int64_t>(sizeof(float));
+    ++blobs;
+  }
+  ASSERT_GT(blobs, 1u) << "fixture model should pack several blobs";
+  EXPECT_EQ(static_cast<std::size_t>(cursor), packed.buffer_bytes());
+  EXPECT_EQ(blob_bytes, packed.bytes);
+
+  const std::string bytes = serve::save_artifact_bytes(*compiled);
+  const auto loaded = serve::load_artifact_bytes(bytes.data(), bytes.size());
+  const runtime::PackedWeights& reloaded = loaded->prepack();
+  ASSERT_EQ(packed.buffer_bytes(), reloaded.buffer_bytes());
+  EXPECT_EQ(0, std::memcmp(packed.data(), reloaded.data(), packed.buffer_bytes()));
+  EXPECT_EQ(packed.bytes, reloaded.bytes);
+}
+
 /// Every blob pointer of `model`, skipping nodes that pack nothing.
 std::vector<const float*> blob_pointers(const CompiledModel& model) {
   std::vector<const float*> blobs;

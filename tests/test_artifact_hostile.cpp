@@ -337,6 +337,18 @@ TEST(HostileArtifactTest, OversizedIntraOpThreadsRejected) {
   expect_rejects(bytes, "implausible intra_op_threads", "oversized intra_op_threads");
 }
 
+TEST(HostileArtifactTest, ArenaBudgetBelowDerivedSlabRejected) {
+  // The artifact ships no plans: the loader re-plans every variant and holds
+  // the slab to the stamped budget, so a budget the stored schedule cannot
+  // meet fails at load, before any session sizes a slab by it.
+  std::string bytes = sample_artifact();
+  const TableEntry meta = find_section(bytes, serve::ArtifactSection::kMeta);
+  // max_arena_bytes is the i64 after intra_op_threads.
+  write_pod<std::int64_t>(bytes, static_cast<std::size_t>(meta.offset) + 24, 1024);
+  refresh_checksums(bytes);
+  expect_rejects(bytes, "exceeds the arena budget of 1024 B", "arena budget below slab");
+}
+
 // ---- deep-section corruption (checksums recomputed) -------------------------
 
 TEST(HostileArtifactTest, PackedWeightLengthMismatchRejected) {
