@@ -31,7 +31,7 @@ void report(const char* model_name, const ir::Graph& decomposed, const Variant& 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto bench = temco::bench::parse_args(argc, argv);
+  const auto bench = temco::bench::parse_args(argc, argv).config;
   std::printf("=== Ablation: §3.3 layer transformations & pass combinations ===\n\n");
   std::printf("%-14s %-22s %12s %12s %6s %6s\n", "model", "variant", "peak_mem", "weights",
               "fused", "nodes");

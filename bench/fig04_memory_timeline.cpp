@@ -65,7 +65,7 @@ void run_model(const char* name, const temco::bench::BenchConfig& bench) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto bench = temco::bench::parse_args(argc, argv);
+  auto bench = temco::bench::parse_args(argc, argv).config;
   std::printf("=== Figure 4: internal-tensor memory timeline (batch %lld) ===\n",
               static_cast<long long>(bench.batch));
   run_model("unet", bench);

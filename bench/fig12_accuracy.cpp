@@ -56,7 +56,7 @@ double dice(const Tensor& a, const Tensor& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  auto bench = temco::bench::parse_args(argc, argv);
+  auto bench = temco::bench::parse_args(argc, argv).config;
   std::printf("=== Figure 12: accuracy preservation ===\n");
   std::printf("metric: top-5 agreement (classification) / dice overlap (UNet)\n\n");
   std::printf("%-14s %22s %22s %16s\n", "model", "decomposed vs orig", "temco vs orig",

@@ -23,15 +23,16 @@
 //   {"kernel", "shape", "variant", "isa", "ns_per_iter", "gflops",
 //    "speedup_vs_naive", "pct_peak"}
 //
-// Flags: --min-ms N   measurement window per variant (default 80)
-//        --json PATH  output path (default BENCH_kernels.json)
+// Flags (bench/common.hpp's parser; the model flags do not apply here):
+//   --min-ms F   measurement window per variant (default 80)
+//   --json PATH  output path (default BENCH_kernels.json)
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
+#include "bench/common.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/naive.hpp"
@@ -104,19 +105,23 @@ void check_dispatch_or_die() {
   }
 }
 
-/// Times fn (one warmup call, then iterations until the window elapses) and
-/// records a table/JSON row.  Returns ns/iter so callers can compute speedups.
+/// Times fn with the benches' method (bench/common.hpp): one warm-up window,
+/// then the median of kRepeats windows that together last g_min_ms, each
+/// sample the mean ns per call over its window.  Records a table/JSON row and
+/// returns ns/iter so callers can compute speedups.
 template <typename Fn>
 double bench_case(const std::string& kernel, const std::string& shape, const std::string& variant,
                   double flops_per_iter, double naive_ns, Fn&& fn) {
-  fn();
-  Timer timer;
-  std::int64_t iters = 0;
-  do {
-    fn();
-    ++iters;
-  } while (timer.elapsed_ms() < g_min_ms);
-  const double ns = timer.elapsed_seconds() * 1e9 / static_cast<double>(iters);
+  const double window_ms = g_min_ms / static_cast<double>(temco::bench::kRepeats);
+  const double ns = temco::bench::measure(1, temco::bench::kRepeats, [&] {
+                      Timer timer;
+                      std::int64_t iters = 0;
+                      do {
+                        fn();
+                        ++iters;
+                      } while (timer.elapsed_ms() < window_ms);
+                      return timer.elapsed_seconds() * 1e9 / static_cast<double>(iters);
+                    }).median;
   Row row;
   row.kernel = kernel;
   row.shape = shape;
@@ -398,17 +403,11 @@ void write_json(const char* path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* json_path = "BENCH_kernels.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--min-ms") == 0 && i + 1 < argc) {
-      g_min_ms = std::stod(argv[++i]);
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "usage: %s [--min-ms N] [--json PATH]\n", argv[0]);
-      return 2;
-    }
-  }
+  temco::bench::BenchArgs defaults;
+  defaults.json = "BENCH_kernels.json";
+  defaults.min_ms = g_min_ms;
+  const auto args = temco::bench::parse_args(argc, argv, defaults);
+  g_min_ms = *args.min_ms;
   check_dispatch_or_die();
   g_peak_gflops = measure_peak_gflops();
   std::printf("kernel isa: %s   machine peak (FMA probe): %.2f GFLOP/s\n\n",
@@ -420,6 +419,6 @@ int main(int argc, char** argv) {
   conv_census();
   matmul_cases();
   fused_sandwich();
-  write_json(json_path);
+  write_json(args.json->c_str());
   return 0;
 }

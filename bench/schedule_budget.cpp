@@ -15,39 +15,19 @@
 // execution (rematerialized duplicates recompute identical bytes); the bench
 // fails loudly if any point diverges.
 //
-// Output: BENCH_schedule.json (override with --json PATH), one record per
-// model × point.
-#include <cstring>
-
+// Measured times are the median of kRepeats arena-executor runs after one
+// warm-up (bench/common.hpp); each record keeps the quartiles too.
+//
+// Output: BENCH_schedule.json (override with --json PATH), the host plus one
+// record per model × point.
 #include "bench/common.hpp"
 #include "runtime/arena.hpp"
 #include "runtime/budget.hpp"
 #include "support/bytes.hpp"
-#include "support/timer.hpp"
 
 using namespace temco;
 
 namespace {
-
-double time_graph(const ir::Graph& graph, const Tensor& input, int repeats) {
-  runtime::Executor executor(graph, {.use_arena = true});
-  executor.run({input});  // warm-up
-  Timer timer;
-  for (int i = 0; i < repeats; ++i) executor.run({input});
-  return timer.elapsed_seconds() / repeats;
-}
-
-bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor>& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (!(a[i].shape() == b[i].shape())) return false;
-    if (std::memcmp(a[i].data(), b[i].data(),
-                    static_cast<std::size_t>(a[i].shape().bytes())) != 0) {
-      return false;
-    }
-  }
-  return true;
-}
 
 struct Record {
   std::string model;
@@ -58,7 +38,7 @@ struct Record {
   bool met = true;
   int remat_nodes = 0;
   double predicted_slowdown = 1.0;
-  double measured_seconds = 0.0;
+  temco::bench::Spread measured_seconds;
   double measured_slowdown = 1.0;
   bool bitwise_identical = true;
 };
@@ -66,18 +46,11 @@ struct Record {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --json PATH is handled before the shared parser sees the args.
-  const char* json_path = "BENCH_schedule.json";
-  std::vector<char*> rest;
-  rest.push_back(argv[0]);
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      json_path = argv[++i];
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  auto bench = temco::bench::parse_args(static_cast<int>(rest.size()), rest.data());
+  temco::bench::BenchArgs defaults;
+  defaults.json = "BENCH_schedule.json";
+  const auto args = temco::bench::parse_args(argc, argv, defaults);
+  const auto& bench = args.config;
+  const std::string& json_path = *args.json;
 
   std::printf("=== Budget-constrained schedule search: peak vs. time Pareto ===\n");
   std::printf("(width %.3g, image %lld, batch %lld, Tucker ratio %.2g)\n\n", bench.width,
@@ -111,7 +84,6 @@ int main(int argc, char** argv) {
     const std::int64_t floor = runtime::schedule_floor_bytes(optimized);
 
     const Tensor input = temco::bench::random_input(optimized, 99);
-    const int repeats = 2;
 
     // The bitwise reference: the unconstrained optimized graph, reference
     // executor.  Every searched schedule must reproduce these bytes exactly.
@@ -123,7 +95,7 @@ int main(int argc, char** argv) {
       r.model = name;
       r.point = "temco";
       r.arena_bytes = runtime::plan_arena(optimized).arena_bytes;
-      r.measured_seconds = time_graph(optimized, input, repeats);
+      r.measured_seconds = temco::bench::time_runs(optimized, input, true);
       records.push_back(r);
       std::printf("%-14s %-10s %12s %12s %5s %6d %8.2fx %8.2fx %8s\n", name.c_str(), "temco",
                   "-", format_bytes(r.arena_bytes).c_str(), "-", 0, 1.0, 1.0, "ref");
@@ -144,15 +116,16 @@ int main(int argc, char** argv) {
       r.met = result.met;
       r.remat_nodes = result.remat_nodes;
       r.predicted_slowdown = result.predicted_slowdown;
-      r.measured_seconds = time_graph(result.graph, input, repeats);
+      r.measured_seconds = temco::bench::time_runs(result.graph, input, true);
 
       const auto searched = runtime::execute(result.graph, {input}, {.use_arena = true});
-      r.bitwise_identical = bitwise_equal(searched.outputs, reference.outputs);
+      r.bitwise_identical = temco::bench::bitwise_equal(searched.outputs, reference.outputs);
       all_identical = all_identical && r.bitwise_identical;
 
-      if (frac == 1.00) unconstrained_seconds = r.measured_seconds;
-      r.measured_slowdown =
-          unconstrained_seconds > 0.0 ? r.measured_seconds / unconstrained_seconds : 1.0;
+      if (frac == 1.00) unconstrained_seconds = r.measured_seconds.median;
+      r.measured_slowdown = unconstrained_seconds > 0.0
+                                ? r.measured_seconds.median / unconstrained_seconds
+                                : 1.0;
       if (frac == 0.50) {
         if (r.met) {
           ++met_at_50;
@@ -181,26 +154,30 @@ int main(int argc, char** argv) {
       met_at_50, models_run, floor_infeasible_at_50, misses_at_50,
       all_identical ? "held everywhere" : "VIOLATED", slowdown_ok ? "held" : "VIOLATED");
 
-  std::FILE* f = std::fopen(json_path, "w");
+  std::FILE* f = std::fopen(json_path.c_str(), "w");
   TEMCO_CHECK(f != nullptr) << "cannot open " << json_path << " for writing";
-  std::fprintf(f, "[\n");
+  std::fprintf(f,
+               "{\n  \"bench\": \"schedule_budget\",\n  \"host\": %s,\n"
+               "  \"method\": \"1 warm-up run, median and quartiles of %zu arena runs\",\n"
+               "  \"records\": [\n",
+               temco::bench::host_json().c_str(), temco::bench::kRepeats);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const Record& r = records[i];
     std::fprintf(f,
-                 "  {\"model\": \"%s\", \"point\": \"%s\", \"budget_bytes\": %lld, "
+                 "    {\"model\": \"%s\", \"point\": \"%s\", \"budget_bytes\": %lld, "
                  "\"arena_bytes\": %lld, \"floor_bytes\": %lld, \"met\": %s, "
-                 "\"remat_nodes\": %d, "
-                 "\"predicted_slowdown\": %.3f, \"measured_seconds\": %.6f, "
-                 "\"measured_slowdown\": %.3f, \"bitwise_identical\": %s}%s\n",
+                 "\"remat_nodes\": %d, \"predicted_slowdown\": %.3f, "
+                 "\"measured_seconds\": %s, \"measured_slowdown\": %.3f, "
+                 "\"bitwise_identical\": %s}%s\n",
                  r.model.c_str(), r.point.c_str(), static_cast<long long>(r.budget_bytes),
                  static_cast<long long>(r.arena_bytes), static_cast<long long>(r.floor_bytes),
-                 r.met ? "true" : "false", r.remat_nodes,
-                 r.predicted_slowdown, r.measured_seconds, r.measured_slowdown,
+                 r.met ? "true" : "false", r.remat_nodes, r.predicted_slowdown,
+                 temco::bench::spread_json(r.measured_seconds, 1.0).c_str(), r.measured_slowdown,
                  r.bitwise_identical ? "true" : "false", i + 1 < records.size() ? "," : "");
   }
-  std::fprintf(f, "]\n");
+  std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("wrote %zu record(s) to %s\n", records.size(), json_path);
+  std::printf("wrote %zu record(s) to %s\n", records.size(), json_path.c_str());
 
   return all_identical && slowdown_ok ? 0 : 1;
 }

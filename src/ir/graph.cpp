@@ -259,19 +259,19 @@ Graph rebatched(const Graph& graph, std::int64_t batch) {
 
 void Graph::verify() const {
   TEMCO_CHECK_AS(!outputs_.empty(), InvalidGraphError) << "graph has no outputs";
-  std::unordered_set<ValueId> seen;
-  for (const Node& node : nodes_) {
-    TEMCO_CHECK_AS(node.id == static_cast<ValueId>(seen.size()), InvalidGraphError)
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    const Node& node = nodes_[i];
+    TEMCO_CHECK_AS(node.id == static_cast<ValueId>(i), InvalidGraphError)
         << "node id out of order";
     for (const ValueId in : node.inputs) {
       // Catches dangling ids, forward references, and self-cycles alike: a
-      // valid SSA input must already have been defined.
-      TEMCO_CHECK_AS(seen.count(in) == 1, InvalidGraphError)
+      // valid SSA input must already have been defined, and ids are
+      // sequential, so the defined ids are exactly [0, node.id).
+      TEMCO_CHECK_AS(0 <= in && in < node.id, InvalidGraphError)
           << node.name << " uses undefined value " << in;
     }
     TEMCO_CHECK_AS(node.out_shape.rank() > 0 || node.kind == OpKind::kInput, InvalidGraphError)
         << node.name << " has no inferred shape; call infer_shapes()";
-    seen.insert(node.id);
   }
   std::unordered_set<ValueId> out_seen;
   for (const ValueId id : outputs_) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "kernels/kernels.hpp"
-#include "runtime/arena.hpp"
 #include "runtime/liveness.hpp"
 #include "support/align.hpp"
 
@@ -45,7 +44,7 @@ MemoryPlan plan_memory(const ir::Graph& graph, PlannerOptions options) {
     PlanStep step;
     step.id = node.id;
     step.step_peak = live;
-    if (node.kind == ir::OpKind::kFusedConvActConv && options.include_fused_scratch) {
+    if (node.kind == ir::OpKind::kFusedConvActConv) {
       const Shape& x = graph.node(node.inputs[0]).out_shape;
       step.scratch = kernels::fused_scratch_bytes(node.weights[0].shape()[0], x[3],
                                                   node.attrs.fused_has_pool, node.out_shape[3]);
@@ -64,9 +63,6 @@ MemoryPlan plan_memory(const ir::Graph& graph, PlannerOptions options) {
     plan.peak_internal_bytes = std::max(plan.peak_internal_bytes, step.step_peak);
     plan.peak_with_scratch = std::max(plan.peak_with_scratch, step.step_peak + step.scratch);
   }
-  // The independently-computed arena packing for the same liveness table;
-  // reported side by side so packing overhead is always visible.
-  plan.arena_bytes = plan_arena(graph).arena_bytes;
   return plan;
 }
 

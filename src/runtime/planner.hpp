@@ -29,19 +29,12 @@ struct PlanStep {
 struct MemoryPlan {
   std::vector<PlanStep> steps;
   std::int64_t peak_internal_bytes = 0;   ///< max over steps of step_peak
-  std::int64_t peak_with_scratch = 0;     ///< max over steps of step_peak + scratch
+  std::int64_t peak_with_scratch = 0;     ///< max over steps of step_peak + scratch; the
+                                          ///< floor of plan_arena(graph).arena_bytes
   std::int64_t weight_bytes = 0;
-  /// Slab size of the static arena packing (src/runtime/arena.hpp) for the
-  /// same graph — always >= peak_with_scratch; the ratio of the two is the
-  /// packing overhead tracked by bench/arena_packing.
-  std::int64_t arena_bytes = 0;
 };
 
 struct PlannerOptions {
-  /// When true, fused-kernel scratch (one worker's row buffers) is added to
-  /// the step peak so fusion can never hide memory in "free" scratch space.
-  bool include_fused_scratch = true;
-
   /// Accounting mode: treat an activation (relu/silu) whose input dies at
   /// that very step as in-place — it aliases its input's storage instead of
   /// allocating.  This models torchvision-style `ReLU(inplace=True)`

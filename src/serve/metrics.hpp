@@ -18,7 +18,7 @@
 //
 // The fleet server (serve/fleet.hpp) owns one ModelMetrics per installed
 // model and stitches snapshots plus its adaptive-batcher state into the
-// to_json export consumed by bench/serving_fleet.cpp and ops tooling.
+// to_json export consumed by bench/serving.cpp and ops tooling.
 #pragma once
 
 #include <array>

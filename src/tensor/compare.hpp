@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "tensor/tensor.hpp"
 
@@ -22,6 +23,13 @@ inline float max_abs_diff(const Tensor& a, const Tensor& b) {
   const std::int64_t n = a.numel();
   for (std::int64_t i = 0; i < n; ++i) worst = std::max(worst, std::fabs(pa[i] - pb[i]));
   return worst;
+}
+
+/// Same shape and every byte equal, NaN payloads included: the bitwise
+/// contract, which max_abs_diff == 0 would pass on NaN.
+inline bool bitwise_equal(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), static_cast<std::size_t>(a.shape().bytes())) == 0;
 }
 
 /// Relative Frobenius-norm error ‖a − b‖ / ‖a‖ (0 when both are zero).

@@ -69,7 +69,7 @@ void check_differential(const Graph& graph, const std::string& label) {
   EXPECT_GT(ref.heap_allocations, 0) << label;
 
   const auto plan = runtime::plan_memory(graph);
-  EXPECT_EQ(got.arena_bytes, plan.arena_bytes) << label;
+  EXPECT_EQ(got.arena_bytes, runtime::plan_arena(graph).arena_bytes) << label;
   EXPECT_GE(got.arena_bytes, plan.peak_with_scratch)
       << label << ": packing below the liveness lower bound is impossible";
   const double ratio = static_cast<double>(got.arena_bytes) /

@@ -511,11 +511,15 @@ TEST(FleetServerTest, HotSwapUnderLoadAttributesEveryResponseAndDrains) {
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 16;
+  constexpr int kSwapAfter = 4;  ///< client 0 swaps after this many responses
   std::atomic<int> from_a{0}, from_b{0}, misrouted{0}, completed{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
+    clients.emplace_back([&, c] {
       for (int r = 0; r < kPerClient; ++r) {
+        // In-thread, so the swap lands while the other clients are in
+        // flight and client 0's later requests must reach generation B.
+        if (c == 0 && r == kSwapAfter) fleet.swap("clf", model_b);
         const auto got = fleet.submit("clf", request).get();
         if (max_abs_diff(got[0], want_a[0]) == 0.0f) {
           from_a.fetch_add(1);
@@ -528,13 +532,12 @@ TEST(FleetServerTest, HotSwapUnderLoadAttributesEveryResponseAndDrains) {
       }
     });
   }
-  while (completed.load() < kClients) std::this_thread::yield();
-  fleet.swap("clf", model_b);
   for (auto& client : clients) client.join();
 
   EXPECT_EQ(completed.load(), kClients * kPerClient) << "a request was dropped";
   EXPECT_EQ(misrouted.load(), 0) << "a response matched neither generation";
   EXPECT_GT(from_a.load(), 0) << "swap happened before any old-generation traffic";
+  EXPECT_GT(from_b.load(), 0) << "no traffic reached the new generation";
 
   // The displaced generation drains in the background; wait_drained pends on
   // exactly that, and post-drain traffic is all generation B.

@@ -4,7 +4,8 @@
 //  P1  planner peak == tracking-allocator peak on randomized DAGs
 //  P2  TeMCO never increases planned peak and never changes outputs,
 //      across a sweep of decomposed chain shapes
-//  P3  Equations (1)–(4) of §2.2 hold exactly for the two-conv example
+//  P3  Equations (1)–(4) of §2.2 hold for the two-conv example, on the
+//      shapes the tests name and a sweep of channel widths and kernels
 //  P4  across the zoo, the arena planner's planned slab is what the executor
 //      actually touches: the measured high-water mark of a poison-filled
 //      caller slab reaches the top of the packed tensor region
@@ -286,6 +287,74 @@ TEST(MemoryModelTest, Equations1And2WeightBytes) {
   EXPECT_EQ(dec.graph.total_weight_bytes(), expected_weights);
   EXPECT_LT(dec.graph.total_weight_bytes(), g.total_weight_bytes());
 }
+
+/// Figure 3a's conv → relu → conv with C → C' → C'' channels, an N×C×H×H
+/// input, and K×K convs padded to keep H'' = H' = H.
+struct EqShape {
+  std::int64_t n, c, cp, cpp, h, k;
+};
+
+void PrintTo(const EqShape& s, std::ostream* os) {
+  *os << "n" << s.n << "_c" << s.c << "_" << s.cp << "_" << s.cpp << "_h" << s.h << "_k" << s.k;
+}
+
+class MemoryModelTest : public ::testing::TestWithParam<EqShape> {};
+
+TEST_P(MemoryModelTest, Equations1To4HoldOnTheTwoConvExample) {
+  const EqShape s = GetParam();
+  const double ratio = 0.1;
+  Graph g;
+  Rng rng(60);
+  const auto x = g.input(Shape{s.n, s.c, s.h, s.h});
+  const auto c1 = g.conv2d(x, Tensor::random_normal(Shape{s.cp, s.c, s.k, s.k}, rng, 0.2f),
+                           Tensor::zeros(Shape{s.cp}), 1, s.k / 2);
+  const auto r = g.relu(c1);
+  const auto c2 = g.conv2d(r, Tensor::random_normal(Shape{s.cpp, s.cp, s.k, s.k}, rng, 0.2f),
+                           Tensor::zeros(Shape{s.cpp}), 1, s.k / 2);
+  g.set_outputs({c2});
+  g.infer_shapes();
+
+  // Eq. (1) and (2), plus the biases the equations leave out.
+  const std::int64_t kk = s.k * s.k;
+  EXPECT_EQ(g.total_weight_bytes(), (s.c * s.cp * kk + s.cp + s.cp * s.cpp * kk + s.cpp) * 4);
+  const auto dec = decomp::decompose(g, {.ratio = ratio});
+  ASSERT_EQ(dec.num_decomposed, 2);
+  const std::int64_t r1 = decomp::rank_for(s.c, ratio);
+  const std::int64_t r2 = decomp::rank_for(s.cp, ratio);
+  const std::int64_t r3 = decomp::rank_for(s.cp, ratio);
+  const std::int64_t r4 = decomp::rank_for(s.cpp, ratio);
+  EXPECT_EQ(dec.graph.total_weight_bytes(),
+            (s.c * r1 + r1 * r2 * kk + r2 * s.cp + s.cp * r3 + r3 * r4 * kk + r4 * s.cpp +
+             r1 + r2 + s.cp + r3 + r4 + s.cpp) *
+                4);
+
+  // Eq. (3): MAX(CHW + C'H'W', 2C'H'W', C'H'W' + C''H''W'').
+  const std::int64_t unit = s.n * s.h * s.h * 4;  // bytes per channel map
+  const std::int64_t wide = 2 * s.cp * unit;
+  const std::int64_t eq3 = std::max({s.c * unit + s.cp * unit, wide, s.cp * unit + s.cpp * unit});
+  const std::int64_t dense_peak = runtime::plan_memory(g).peak_internal_bytes;
+  EXPECT_EQ(dense_peak, eq3);
+
+  // Eq. (4): decomposition keeps the activation's 2C'H'W' term, so the peak
+  // is unchanged where that term is Eq. (3)'s maximum.  Where C'H'W' +
+  // C''H''W'' dominates instead, the narrow restore-side tensors let the
+  // decomposed peak fall below the dense one.
+  const std::int64_t decomposed_peak = runtime::plan_memory(dec.graph).peak_internal_bytes;
+  if (wide == eq3) {
+    EXPECT_EQ(decomposed_peak, dense_peak);
+  } else {
+    EXPECT_LE(decomposed_peak, dense_peak);
+  }
+  EXPECT_LE(runtime::plan_memory(core::optimize(dec.graph, {})).peak_with_scratch,
+            decomposed_peak);
+}
+
+// Shapes beyond the three single-shape MemoryModelTest tests above.
+INSTANTIATE_TEST_SUITE_P(Shapes, MemoryModelTest,
+                         ::testing::Values(EqShape{4, 64, 128, 64, 16, 3},
+                                           EqShape{4, 32, 64, 128, 32, 3},
+                                           EqShape{1, 128, 256, 256, 8, 3},
+                                           EqShape{4, 64, 64, 64, 16, 5}));
 
 // ---- P4: planned peak == measured high-water mark across the zoo -------------
 

@@ -115,11 +115,10 @@ TEST(PlannerTest, FusedScratchIsAccounted) {
   g.set_outputs({fused});
   g.infer_shapes();
 
-  const auto with = runtime::plan_memory(g, {.include_fused_scratch = true});
-  const auto without = runtime::plan_memory(g, {.include_fused_scratch = false});
-  EXPECT_GT(with.peak_with_scratch, without.peak_internal_bytes);
+  const auto plan = runtime::plan_memory(g);
+  EXPECT_GT(plan.peak_with_scratch, plan.peak_internal_bytes);
   // Scratch is one restored row: 16 channels × 8 wide × 4 bytes.
-  EXPECT_EQ(with.steps[1].scratch, 16 * 8 * 4);
+  EXPECT_EQ(plan.steps[1].scratch, 16 * 8 * 4);
 }
 
 TEST(ExecutorTest, RejectsWrongInputArity) {

@@ -498,14 +498,19 @@ TEST(FleetHotSwapTest, HotSwapUnderConcurrentClientsDropsNothing) {
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 16;
+  constexpr int kSwapAfter = 4;  ///< client 0 swaps after this many responses
   std::atomic<int> completed{0};
   std::atomic<int> from_a{0};
   std::atomic<int> from_b{0};
   std::atomic<int> misrouted{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
+    clients.emplace_back([&, c] {
       for (int r = 0; r < kPerClient; ++r) {
+        // Swap mid-traffic, in-thread, once the old model has demonstrably
+        // served requests: the other clients are in flight, and client 0's
+        // later requests must reach model B however slow the load is.
+        if (c == 0 && r == kSwapAfter) fleet.swap_file(kName, path);
         // submit() must absorb the swap: no CancelledError, no drop.
         const auto got = fleet.submit(kName, request).get();
         if (max_abs_diff(got[0], want_a[0]) == 0.0f) {
@@ -520,9 +525,6 @@ TEST(FleetHotSwapTest, HotSwapUnderConcurrentClientsDropsNothing) {
     });
   }
 
-  // Swap mid-traffic, once the old model has demonstrably served requests.
-  ASSERT_TRUE(eventually([&] { return completed.load() >= kClients; }));
-  fleet.swap_file(kName, path);
   for (auto& client : clients) client.join();
 
   EXPECT_EQ(completed.load(), kClients * kPerClient) << "a request was dropped";
