@@ -214,10 +214,32 @@ inline bool bitwise_equal(const std::vector<Tensor>& a, const std::vector<Tensor
                     [](const Tensor& x, const Tensor& y) { return temco::bitwise_equal(x, y); });
 }
 
-/// The host a JSON document was measured on, as a JSON object.
+/// Single-core ceiling of the active tier in GFLOP/s: a register-resident
+/// FMA chain loop (gemm_dispatch peak_probe), calibrated to a window of at
+/// least 20 ms and then timed once.  kernels_micro divides every row's
+/// throughput by it for its %-of-peak column.
+inline double measure_peak_gflops() {
+  std::int64_t iters = 1 << 14;
+  for (;;) {  // calibrate to a stable window
+    Timer timer;
+    kernels::gemm::peak_probe_iters(iters);
+    if (timer.elapsed_ms() >= 20.0 || iters >= (std::int64_t{1} << 34)) break;
+    iters *= 4;
+  }
+  Timer timer;
+  kernels::gemm::peak_probe_iters(iters);
+  return kernels::gemm::peak_probe_flops_per_iter() * static_cast<double>(iters) /
+         (timer.elapsed_seconds() * 1e9);
+}
+
+/// The host a JSON document was measured on, as a JSON object: core count,
+/// kernel ISA tier and that tier's FMA-probe peak.
 inline std::string host_json() {
+  char peak[32];
+  std::snprintf(peak, sizeof peak, "%.2f", measure_peak_gflops());
   return "{\"threads\": " + std::to_string(std::thread::hardware_concurrency()) +
-         ", \"isa\": \"" + kernels::gemm::active_isa_name() + "\"}";
+         ", \"isa\": \"" + kernels::gemm::active_isa_name() +
+         "\", \"fma_peak_gflops\": " + peak + "}";
 }
 
 }  // namespace temco::bench

@@ -68,24 +68,6 @@ struct Row {
 
 std::vector<Row> g_rows;
 
-/// Single-core ceiling of the active tier: a register-resident FMA chain loop
-/// (gemm_dispatch peak_probe), timed like any other case.  Every row's
-/// %-of-peak divides by this, so the column answers "how much of what this
-/// machine could do at this ISA does the kernel capture".
-double measure_peak_gflops() {
-  std::int64_t iters = 1 << 14;
-  for (;;) {  // calibrate to a stable window
-    Timer timer;
-    gemm::peak_probe_iters(iters);
-    if (timer.elapsed_ms() >= 20.0 || iters >= (std::int64_t{1} << 34)) break;
-    iters *= 4;
-  }
-  Timer timer;
-  gemm::peak_probe_iters(iters);
-  return gemm::peak_probe_flops_per_iter() * static_cast<double>(iters) /
-         (timer.elapsed_seconds() * 1e9);
-}
-
 /// Refuses to publish numbers from a silent mis-dispatch: hardware with a
 /// vector tier must actually run one unless TEMCO_KERNEL_ISA=scalar asked for
 /// the oracle on purpose.
@@ -409,7 +391,7 @@ int main(int argc, char** argv) {
   const auto args = temco::bench::parse_args(argc, argv, defaults);
   g_min_ms = *args.min_ms;
   check_dispatch_or_die();
-  g_peak_gflops = measure_peak_gflops();
+  g_peak_gflops = temco::bench::measure_peak_gflops();
   std::printf("kernel isa: %s   machine peak (FMA probe): %.2f GFLOP/s\n\n",
               gemm::active_isa_name(), g_peak_gflops);
   std::printf("%-10s %-22s %-12s %15s  %15s  %8s  %6s\n", "kernel", "shape", "variant", "time",

@@ -481,18 +481,21 @@ void run_stack(const Config& config, const std::vector<ModelPtr>& compiled,
 }
 
 /// Single-tenant capacity of this host: closed-loop clients on the hot model
-/// alone.  The overload rate is set off it, so the bench scales to any host.
-double measure_capacity(const ModelPtr& hot, const Tensor& input) {
+/// alone, one warm-up and kRepeats runs of kHotRequests on one fleet.  The
+/// overload rate is set off the median, so the bench scales to any host.
+Spread measure_capacity(const ModelPtr& hot, const Tensor& input) {
   serve::FleetOptions options;
   options.workers = kWorkers;
   options.sessions_per_model = kSessionsPerModel;
   options.queue_capacity = kQueueCapacity;
   serve::FleetServer fleet(options);
   fleet.install(kModelName, hot);
-  Timer wall;
-  closed_loop(kHotRequests, kFleetClients,
-              [&](std::size_t) { fleet.submit(kModelName, {input}).get(); });
-  return static_cast<double>(kHotRequests) / wall.elapsed_seconds();
+  return temco::bench::measure(1, temco::bench::kRepeats, [&] {
+    Timer wall;
+    closed_loop(kHotRequests, kFleetClients,
+                [&](std::size_t) { fleet.submit(kModelName, {input}).get(); });
+    return static_cast<double>(kHotRequests) / wall.elapsed_seconds();
+  });
 }
 
 // ---- cold start ---------------------------------------------------------------
@@ -563,7 +566,7 @@ struct Leg {
 std::string ms(const Spread& seconds) { return temco::bench::spread_json(seconds, 1e3); }
 
 void write_json(const Config& config, const std::vector<ModelReport>& reports,
-                double capacity_rps, const std::vector<Leg>& legs, const StackResult& fleet,
+                const Spread& capacity, const std::vector<Leg>& legs, const StackResult& fleet,
                 const StackResult& statics) {
   std::FILE* f = std::fopen(config.json.c_str(), "w");
   TEMCO_CHECK(f != nullptr) << "cannot open " << config.json << " for writing";
@@ -601,11 +604,12 @@ void write_json(const Config& config, const std::vector<ModelReport>& reports,
   std::fprintf(f,
                "\n  ]},\n  \"fleet\": {\"workers\": %zu, \"sessions_per_model\": %zu, "
                "\"queue_capacity\": %zu, \"clients\": %zu, \"hot_requests\": %zu, "
-               "\"cold_requests\": %zu, \"capacity_rps\": %.1f, \"overload_factor\": %.2f, "
+               "\"cold_requests\": %zu, \"capacity_rps\": %s, \"overload_factor\": %.2f, "
                "\"closed_deadline_ms\": %lld, \"overload_deadline_ms\": %lld, \"legs\": [",
                kWorkers, kSessionsPerModel, kQueueCapacity, kFleetClients, kHotRequests,
                kColdRequests,
-               capacity_rps, kOverloadFactor, static_cast<long long>(kGenerousDeadline.count()),
+               temco::bench::spread_json(capacity, 1.0).c_str(), kOverloadFactor,
+               static_cast<long long>(kGenerousDeadline.count()),
                static_cast<long long>(kTightDeadline.count()));
   sep = "\n";
   for (const Leg& leg : legs) {
@@ -725,13 +729,14 @@ int main(int argc, char** argv) {
   std::printf("\ngeomean pool+batching speedup over naive: %.2fx (target: >= 2x)\n",
               temco::bench::geomean(speedups));
 
-  const double capacity_rps = measure_capacity(fleet_models[0], inputs[0]);
+  const Spread capacity = measure_capacity(fleet_models[0], inputs[0]);
+  const double capacity_rps = capacity.median;
   std::printf("\n=== Fleet: shared fair-share pool vs %zu static one-model fleets ===\n"
               "(hot %s: %zu requests x %zu clients; cold @ %lldms; overload %.1fx of the "
-              "measured %.1f req/s for %zums)\n",
+              "measured %.1f [%.1f, %.1f] req/s for %zums)\n",
               names.size(), names[0].c_str(), kHotRequests, kFleetClients,
               static_cast<long long>(kColdInterval.count()), kOverloadFactor, capacity_rps,
-              config.overload_ms);
+              capacity.q1, capacity.q3, config.overload_ms);
   const std::size_t n_models = names.size();
   StackResult fleet{LegAccounting(n_models), LegAccounting(n_models), {}};
   StackResult statics{LegAccounting(n_models), LegAccounting(n_models), {}};
@@ -760,6 +765,6 @@ int main(int argc, char** argv) {
   std::printf("geomean artifact cold-start speedup: %.1fx (target: >= 10x)\n",
               temco::bench::geomean(cold_speedups));
 
-  if (!config.json.empty()) write_json(config, reports, capacity_rps, legs, fleet, statics);
+  if (!config.json.empty()) write_json(config, reports, capacity, legs, fleet, statics);
   return 0;
 }

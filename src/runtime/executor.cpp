@@ -211,20 +211,32 @@ Executor::Executor(const ir::Graph& graph, ExecutorOptions options, const Execut
 
 void Executor::bind_arena(const ExecutorBinding& binding) {
   if (binding.plan != nullptr) {
-    // Adopt a shared, pre-validated plan instead of re-planning.  The caller
-    // vouches it was built for this exact graph; the cheap structural checks
-    // below catch the obvious mixups.
-    TEMCO_CHECK_AS(binding.plan->blocks.size() == graph_.size(), InvalidGraphError)
-        << "bound arena plan covers " << binding.plan->blocks.size() << " values, graph has "
+    // Adopt a shared, pre-validated plan, perhaps packed for a wider batch of
+    // this schedule.  Same live ranges and blocks that hold this graph's
+    // tensors keep validate_arena_plan's pairwise guarantee; O(n) to check.
+    const ArenaPlan& plan = *binding.plan;
+    TEMCO_CHECK_AS(plan.blocks.size() == graph_.size(), InvalidGraphError)
+        << "bound arena plan covers " << plan.blocks.size() << " values, graph has "
         << graph_.size();
-    TEMCO_CHECK_AS(!options_.arena_canaries || binding.plan->canary_bytes > 0, InvalidGraphError)
+    TEMCO_CHECK_AS(!options_.arena_canaries || plan.canary_bytes > 0, InvalidGraphError)
         << "arena_canaries requested but the bound plan reserved no guard bands";
-    plan_ = *binding.plan;
+    for (const ir::Node& node : graph_.nodes()) {
+      const ArenaBlock& block = plan.block(node.id);
+      const LiveRange& live = liveness_[static_cast<std::size_t>(node.id)];
+      TEMCO_CHECK_AS(block.range.begin == live.begin && block.range.end == live.end &&
+                         block.bytes >= align_up(node.out_shape.bytes()) + plan.canary_bytes,
+                     InvalidGraphError)
+          << node.name << ": bound arena block (live " << block.range.begin << ".."
+          << block.range.end << ", " << block.bytes << " B) does not fit " << node.out_shape
+          << " live " << live.begin << ".." << live.end << " plus its guard band";
+    }
+    plan_ = &plan;
   } else {
     ArenaOptions arena_options;
     if (options_.arena_canaries) arena_options.canary_bytes = kTensorAlignment;
-    plan_ = plan_arena(graph_, arena_options);
-    validate_arena_plan(graph_, plan_);
+    own_plan_ = plan_arena(graph_, arena_options);
+    validate_arena_plan(graph_, own_plan_);
+    plan_ = &own_plan_;
   }
 
   float* raw = nullptr;
@@ -237,9 +249,9 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
                        0,
                    InvalidGraphError)
         << "bound slab is not " << kTensorAlignment << "-byte aligned";
-    TEMCO_CHECK_AS(binding.slab_bytes >= plan_.arena_bytes, ResourceExhaustedError)
+    TEMCO_CHECK_AS(binding.slab_bytes >= plan_->arena_bytes, ResourceExhaustedError)
         << "bound slab of " << binding.slab_bytes << " bytes is smaller than the plan's "
-        << plan_.arena_bytes;
+        << plan_->arena_bytes;
     raw = binding.slab;
     slab_ = Buffer(raw, [](float*) {});  // non-owning: the caller frees it
   } else {
@@ -248,15 +260,15 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
     raw = fp_slab_oom.fire() ? nullptr
                              : static_cast<float*>(std::aligned_alloc(
                                    static_cast<std::size_t>(kTensorAlignment),
-                                   static_cast<std::size_t>(plan_.arena_bytes)));
+                                   static_cast<std::size_t>(plan_->arena_bytes)));
     TEMCO_CHECK_AS(raw != nullptr, ResourceExhaustedError)
-        << "arena allocation of " << plan_.arena_bytes << " bytes failed";
+        << "arena allocation of " << plan_->arena_bytes << " bytes failed";
     if (options_.arena_canaries) {
       // Poison fill: a slot read before it was ever written yields NaNs that
       // check_numerics can catch, and every guard band starts intact.
-      std::memset(raw, kCanaryByte, static_cast<std::size_t>(plan_.arena_bytes));
+      std::memset(raw, kCanaryByte, static_cast<std::size_t>(plan_->arena_bytes));
     } else {
-      std::memset(raw, 0, static_cast<std::size_t>(plan_.arena_bytes));
+      std::memset(raw, 0, static_cast<std::size_t>(plan_->arena_bytes));
     }
     slab_ = Buffer(raw, [](float* p) { std::free(p); });
   }
@@ -264,7 +276,7 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
   // Bind every value to its slab offset once; run() never allocates tensors.
   bound_.resize(graph_.size());
   for (const ir::Node& node : graph_.nodes()) {
-    float* base = raw + plan_.block(node.id).offset / static_cast<std::int64_t>(sizeof(float));
+    float* base = raw + plan_->block(node.id).offset / static_cast<std::int64_t>(sizeof(float));
     // Aliasing shared_ptr: shares the slab's control block, owns nothing new.
     bound_[static_cast<std::size_t>(node.id)] = Tensor(node.out_shape, Buffer(slab_, base));
   }
@@ -310,19 +322,16 @@ void Executor::check_node_output(const ir::Node& node, const Tensor& out) const 
   }
 }
 
-void Executor::write_canary(ir::ValueId id) {
-  const ArenaBlock& block = plan_.block(id);
+void Executor::write_canary(const ir::Node& node) {
   unsigned char* base = reinterpret_cast<unsigned char*>(slab_.get());
-  std::memset(base + block.offset + plan_.payload_bytes(id), kCanaryByte,
-              static_cast<std::size_t>(plan_.canary_bytes));
+  std::memset(base + plan_->band_offset(node), kCanaryByte,
+              static_cast<std::size_t>(plan_->canary_bytes));
 }
 
 void Executor::check_canary(ir::ValueId id, const ir::Node& at) const {
-  const ArenaBlock& block = plan_.block(id);
-  const unsigned char* band =
-      reinterpret_cast<const unsigned char*>(slab_.get()) + block.offset +
-      plan_.payload_bytes(id);
-  for (std::int64_t i = 0; i < plan_.canary_bytes; ++i) {
+  const unsigned char* band = reinterpret_cast<const unsigned char*>(slab_.get()) +
+                              plan_->band_offset(graph_.node(id));
+  for (std::int64_t i = 0; i < plan_->canary_bytes; ++i) {
     TEMCO_CHECK_AS(band[i] == kCanaryByte, MemoryCorruptionError)
         << "guard band of " << graph_.node(id).name << " corrupted (byte " << i
         << "), detected freeing after node " << at.name
@@ -360,7 +369,7 @@ void Executor::check_outputs(const std::vector<Tensor>& outputs) const {
     }
     if (options_.use_arena && slab_ != nullptr) {
       const float* s_lo = slab_.get();
-      const float* s_hi = s_lo + plan_.arena_bytes / static_cast<std::int64_t>(sizeof(float));
+      const float* s_hi = s_lo + plan_->arena_bytes / static_cast<std::int64_t>(sizeof(float));
       TEMCO_CHECK_AS(!overlaps(i_lo, i_hi, s_lo, s_hi), InvalidGraphError)
           << "output tensor " << i << " aliases the arena slab";
     }
@@ -457,18 +466,18 @@ void Executor::run_reference(const std::vector<Tensor>& inputs, std::vector<Tens
 void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
                          ExecutionResult& result) {
   const FusedScratch scratch{
-      slab_.get() + plan_.scratch_offset / static_cast<std::int64_t>(sizeof(float)),
-      plan_.scratch_slot_bytes / static_cast<std::int64_t>(sizeof(float)),
-      plan_.scratch_slots};
+      slab_.get() + plan_->scratch_offset / static_cast<std::int64_t>(sizeof(float)),
+      plan_->scratch_slot_bytes / static_cast<std::int64_t>(sizeof(float)),
+      plan_->scratch_slots};
   Timer timer;
 
-  const bool canaries = options_.arena_canaries && plan_.canary_bytes > 0;
+  const bool canaries = options_.arena_canaries && plan_->canary_bytes > 0;
   for (const ir::Node& node : graph_.nodes()) {
     if (options_.cancel != nullptr) options_.cancel->raise_if_stopped();
     const std::size_t slot = static_cast<std::size_t>(node.id);
     // The band must be (re)written when the value comes alive: its bytes may
     // have served as another value's payload earlier in this run.
-    if (canaries) write_canary(node.id);
+    if (canaries) write_canary(node);
     if (node.kind == ir::OpKind::kInput) {
       const std::size_t pos = static_cast<std::size_t>(
           std::find(input_ids_.begin(), input_ids_.end(), node.id) - input_ids_.begin());
@@ -480,8 +489,7 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
     }
     if (canaries && fp_oob_write.fire()) {
       // Simulated kernel bug: stomp the first canary byte of this node's slot.
-      reinterpret_cast<unsigned char*>(slab_.get())[plan_.block(node.id).offset +
-                                                    plan_.payload_bytes(node.id)] = 0;
+      reinterpret_cast<unsigned char*>(slab_.get())[plan_->band_offset(node)] = 0;
     }
     // Free time: verify the guard band of every value that dies here (graph
     // outputs die at the last step, so they are covered too).
@@ -494,7 +502,7 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
   result.peak_internal_bytes = planned_peak_;
   result.weight_bytes = graph_.total_weight_bytes();
   result.packed_weight_bytes = prepack_->bytes;
-  result.arena_bytes = plan_.arena_bytes;
+  result.arena_bytes = plan_->arena_bytes;
   result.heap_allocations = 0;
   // Outputs are copied out of the slab (it is overwritten by the next run).
   for (std::size_t i = 0; i < outputs.size(); ++i) {

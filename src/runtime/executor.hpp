@@ -108,17 +108,19 @@ struct PackedWeights {
 inline constexpr unsigned char kArenaPoisonByte = 0xFF;
 
 /// Immutable, shareable construction inputs for the serving path (src/serve).
-/// Many executors — across sessions and threads — reuse one packed-weight set
-/// and one pre-validated arena plan instead of re-deriving them, and bind to
-/// a caller-owned slab so N batch variants of a session share one allocation.
-/// Everything pointed to must outlive the executor and is never written.
+/// Many executors — across sessions, threads and batch variants — reuse one
+/// packed-weight set and one pre-validated arena plan instead of re-deriving
+/// them, and bind to a caller-owned slab so N batch variants of a session
+/// share one allocation.  Everything pointed to must outlive the executor,
+/// which keeps the pointers and never writes through them.
 struct ExecutorBinding {
   /// Prebuilt packing (PackedWeights::build); nullptr builds per-executor.
   const PackedWeights* prepack = nullptr;
 
-  /// Pre-validated plan for this exact graph (plan_arena + validate_arena_plan
-  /// already ran); requires ExecutorOptions::use_arena.  nullptr plans
-  /// per-executor.
+  /// Pre-validated plan (plan_arena + validate_arena_plan already ran) for
+  /// this graph or a wider batch of its schedule; adoption checks every
+  /// block's live range and size against this graph (InvalidGraphError).
+  /// Requires ExecutorOptions::use_arena; nullptr plans per-executor.
   const ArenaPlan* plan = nullptr;
 
   /// Caller-owned slab the plan's offsets index into; required with `plan`.
@@ -193,14 +195,14 @@ class Executor {
   ExecutionResult run_into(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs);
 
   /// The adopted packing; nullptr unless use_arena.
-  const ArenaPlan* arena_plan() const { return options_.use_arena ? &plan_ : nullptr; }
+  const ArenaPlan* arena_plan() const { return plan_; }
 
  private:
   void bind_arena(const ExecutorBinding& binding);
   void check_inputs(const std::vector<Tensor>& inputs) const;
   void check_outputs(const std::vector<Tensor>& outputs) const;
   void check_node_output(const ir::Node& node, const Tensor& out) const;
-  void write_canary(ir::ValueId id);
+  void write_canary(const ir::Node& node);
   void check_canary(ir::ValueId id, const ir::Node& at) const;
   void run_dispatch(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
                     ExecutionResult& result);
@@ -229,7 +231,8 @@ class Executor {
   std::unique_ptr<ThreadPool> intra_pool_;
 
   // ---- arena state (populated only when options_.use_arena) ---------------
-  ArenaPlan plan_;
+  ArenaPlan own_plan_;              ///< planned here when the binding has no plan
+  const ArenaPlan* plan_ = nullptr;  ///< &own_plan_ or the binding's plan
   Buffer slab_;                                   ///< one aligned allocation, reused per run
   std::vector<Tensor> bound_;                     ///< per-value views into the slab
   std::vector<std::vector<const Tensor*>> args_;  ///< prebuilt kernel input lists

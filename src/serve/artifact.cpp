@@ -39,8 +39,8 @@ constexpr std::size_t kTableEntryBytes = 32;
 constexpr std::uint32_t kSectionCount = 3;
 
 /// Plausibility ceiling on batch variants per artifact; far above any real
-/// micro-batcher, and it bounds the loader's work: load restamps and plans
-/// max_batch variants of the stored graph.
+/// micro-batcher, and it bounds the loader's work: load restamps max_batch
+/// variants of the stored graph and plans the widest one.
 constexpr std::uint64_t kMaxArtifactBatch = 4096;
 
 /// Plausibility ceiling on the per-executor kernel pool width.  A session
@@ -340,8 +340,8 @@ class ArtifactCodec {
           << "artifact graph input " << node.name << " is not a batch-1 template";
     }
 
-    // The artifact stores one schedule; variants and plans are rebuilt from
-    // it exactly as compile() builds them.
+    // The artifact stores one schedule; the variants and their plan are
+    // rebuilt from it exactly as compile() builds them.
     model->stamp_variants(std::move(base));
     model->prepack_ = runtime::PackedWeights::view(model->variants_.front(), std::move(owner),
                                                    weights_view.data(), weights_view.bytes());

@@ -4,9 +4,9 @@
 // without re-running the compiler and what the loader cannot derive: the
 // post-pipeline batch-1 schedule, the shared packed-weight buffer, and the
 // compatibility stamps that tell a future runtime whether it may trust those
-// bytes.  Batch variants and arena plans are functions of the schedule and
-// of this host's thread pool (fused-kernel scratch has one slot per lane),
-// so the loader rebuilds them with the code compile() runs instead of
+// bytes.  Batch variants and the arena plan are functions of the schedule
+// and of this host's thread pool (fused-kernel scratch has one slot per
+// lane), so the loader rebuilds them with the code compile() runs instead of
 // reading them.  The packed-weight section is page-aligned so MappedFile can
 // hand out zero-copy views, and N processes mapping the same artifact share
 // one physical copy of the weights.
@@ -36,7 +36,7 @@
 // are verified before parsing.  Nothing derivable is stored, so nothing
 // derivable can be forged: the loader restamps max_batch variants of the
 // stored graph (max_batch is capped at kMaxArtifactBatch, so load work is
-// bounded by that times the graph size), plans and validates each arena
+// bounded by that times the graph size), plans and validates the one arena
 // itself, and requires the weight section to be exactly as long as this
 // binary's packers lay the graph out.  Any violation throws a typed
 // temco::Error (InvalidGraphError for malformed or incompatible bytes);

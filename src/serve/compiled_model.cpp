@@ -1,6 +1,5 @@
 #include "serve/compiled_model.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "kernels/gemm.hpp"
@@ -72,26 +71,25 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
 }
 
 void CompiledModel::stamp_variants(ir::Graph base) {
-  const runtime::ArenaOptions arena = arena_options(options_);
   variants_.reserve(options_.max_batch);
-  plans_.reserve(options_.max_batch);
-  for (std::size_t k = 1; k <= options_.max_batch; ++k) {
-    ir::Graph variant =
-        k == 1 ? std::move(base) : ir::rebatched(variants_.front(), static_cast<std::int64_t>(k));
-    runtime::ArenaPlan plan = runtime::plan_arena(variant, arena);  // verifies `variant` first
-    runtime::validate_arena_plan(variant, plan);
-    slab_bytes_ = std::max(slab_bytes_, plan.arena_bytes);
-    variants_.push_back(std::move(variant));
-    plans_.push_back(std::move(plan));
+  variants_.push_back(std::move(base));
+  for (std::size_t k = 2; k <= options_.max_batch; ++k) {
+    variants_.push_back(ir::rebatched(variants_.front(), static_cast<std::int64_t>(k)));
   }
+
+  // Liveness is the schedule's and blocks only shrink with the batch, so the
+  // widest variant's plan serves every variant (Executor::bind_arena checks).
+  const ir::Graph& widest = variants_.back();
+  plan_ = runtime::plan_arena(widest, arena_options(options_));  // verifies `widest` first
+  runtime::validate_arena_plan(widest, plan_);
 
   // A budgeted schedule met the budget at max_batch when it was searched,
   // and batch restamping preserves the order, but the slab is the contract
   // sessions size by — and fused-kernel scratch scales with this process's
   // pool width — so it is re-checked, not assumed.
   const std::int64_t budget = options_.max_arena_bytes;
-  TEMCO_CHECK_AS(budget <= 0 || slab_bytes_ <= budget, ResourceExhaustedError)
-      << "validated slab of " << slab_bytes_ << " B exceeds the arena budget of " << budget
+  TEMCO_CHECK_AS(budget <= 0 || slab_bytes() <= budget, ResourceExhaustedError)
+      << "validated slab of " << slab_bytes() << " B exceeds the arena budget of " << budget
       << " B";
 
   const ir::Graph& b1 = variants_.front();

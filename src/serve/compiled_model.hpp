@@ -2,20 +2,20 @@
 //
 // A CompiledModel runs the whole TeMCO pipeline exactly once — decompose
 // upstream, then optimize (skip-opt, transforms, fusion, DCE), stamp one
-// execution variant per batch size, plan a static arena for each, and pack
-// GEMM weights — and freezes the result as an immutable artifact.  Serving
+// execution variant per batch size, plan one static arena, and pack GEMM
+// weights — and freezes the result as an immutable artifact.  Serving
 // sessions (session.hpp) and the fleet server (fleet.hpp) share one
 // artifact read-only across any number of threads: nothing in it is ever
 // mutated after compile() returns, which is the whole thread-safety story.
 //
 // Batch variants: the model is compiled from a batch-1 template; variant k
 // (1 <= k <= max_batch) is the same optimized graph with every input's batch
-// dimension restamped to k (ir::rebatched).  Weights are shared handles, so
-// a variant costs activation metadata plus an arena plan — and GEMM weight
-// packing depends only on weights and output width, never the batch, so one
-// PackedWeights serves every variant.  All variants' plans index into a slab
-// of `slab_bytes()` (the max across variants), which is what lets one
-// session own a single allocation and serve any batch size with it.
+// dimension restamped to k (ir::rebatched).  Weights are shared handles, and
+// GEMM weight packing depends only on weights and output width, so one
+// PackedWeights serves every variant.  Liveness depends only on the schedule
+// and tensor bytes are linear in the batch (§2.2), so every variant binds the
+// max_batch variant's arena plan — each block only shrinks in place — and one
+// session serves any batch size from a single slab of `slab_bytes()`.
 #pragma once
 
 #include <cstdint>
@@ -87,9 +87,9 @@ class CompiledModel {
   /// the mapping); every length, offset, count, and enum in the file is
   /// bounds-checked and every stamp re-validated before anything is trusted —
   /// malformed or incompatible input throws a typed temco::Error, never
-  /// crashes.  Batch variants and arena plans are rebuilt from the schedule
-  /// by the same code compile() runs, so the result is interchangeable with
-  /// compile()'s.
+  /// crashes.  Batch variants and the arena plan are rebuilt from the
+  /// schedule by the same code compile() runs, so the result is
+  /// interchangeable with compile()'s.
   static std::shared_ptr<const CompiledModel> load(const std::string& path);
 
   std::size_t max_batch() const { return options_.max_batch; }
@@ -97,16 +97,20 @@ class CompiledModel {
   const core::OptimizeStats& stats() const { return stats_; }
 
   /// The optimized graph stamped for `batch` in [1, max_batch].
-  const ir::Graph& graph(std::size_t batch) const { return variants_[index(batch)]; }
+  const ir::Graph& graph(std::size_t batch) const {
+    TEMCO_CHECK(batch >= 1 && batch <= variants_.size())
+        << "batch " << batch << " outside compiled range [1, " << variants_.size() << "]";
+    return variants_[batch - 1];
+  }
 
-  /// The pre-validated arena plan for `batch`'s variant.
-  const runtime::ArenaPlan& plan(std::size_t batch) const { return plans_[index(batch)]; }
+  /// The pre-validated arena plan of the max_batch variant; every variant binds it.
+  const runtime::ArenaPlan& plan() const { return plan_; }
 
   /// Shared GEMM weight packing, valid for every batch variant.
   const runtime::PackedWeights& prepack() const { return prepack_; }
 
-  /// Slab size that satisfies every variant's plan (max over batch sizes).
-  std::int64_t slab_bytes() const { return slab_bytes_; }
+  /// The slab every variant runs in: the plan's arena size.
+  std::int64_t slab_bytes() const { return plan_.arena_bytes; }
   std::int64_t packed_weight_bytes() const { return prepack_.bytes; }
   std::int64_t weight_bytes() const { return weight_bytes_; }
 
@@ -153,23 +157,16 @@ class CompiledModel {
 
   /// Everything after the schedule is fixed, shared by compile() and load():
   /// stamps variant k = `base` restamped to batch k for k in [1, max_batch],
-  /// plans and validates each one's arena, sizes the slab (capped by
+  /// plans and validates the max_batch variant's arena once (capped by
   /// options_.max_arena_bytes), and records weight bytes and the request
   /// signature.
   void stamp_variants(ir::Graph base);
 
-  std::size_t index(std::size_t batch) const {
-    TEMCO_CHECK(batch >= 1 && batch <= variants_.size())
-        << "batch " << batch << " outside compiled range [1, " << variants_.size() << "]";
-    return batch - 1;
-  }
-
   CompileOptions options_;
   core::OptimizeStats stats_;
-  std::vector<ir::Graph> variants_;        ///< [k-1] holds the batch-k graph
-  std::vector<runtime::ArenaPlan> plans_;  ///< parallel to variants_
+  std::vector<ir::Graph> variants_;  ///< [k-1] holds the batch-k graph
+  runtime::ArenaPlan plan_;          ///< packed for variants_.back()
   runtime::PackedWeights prepack_;
-  std::int64_t slab_bytes_ = 0;
   std::int64_t weight_bytes_ = 0;
   support::Isa kernel_isa_ = support::Isa::kScalar;
   std::uint32_t pack_layout_version_ = 0;

@@ -38,42 +38,32 @@ Session::Session(std::shared_ptr<const CompiledModel> model)
               static_cast<std::size_t>(bytes));
   slab_.reset(raw);
 
+  // Every executor binds the same slab, the model's one plan and its packing.
+  runtime::ExecutorBinding binding;
+  binding.prepack = &model_->prepack();
+  binding.plan = &model_->plan();
+  binding.slab = raw;
+  binding.slab_bytes = bytes;
+  runtime::ExecutorOptions exec_options;
+  exec_options.use_arena = true;
+  exec_options.check_numerics = model_->options().check_numerics;
+  exec_options.arena_canaries = model_->options().arena_canaries;
+  exec_options.intra_op_threads = model_->options().intra_op_threads;
+  exec_options.cancel = &token_;
   const std::size_t max_batch = model_->max_batch();
   executors_.reserve(max_batch);
   for (std::size_t k = 1; k <= max_batch; ++k) {
-    runtime::ExecutorOptions exec_options;
-    exec_options.use_arena = true;
-    exec_options.check_numerics = model_->options().check_numerics;
-    exec_options.arena_canaries = model_->options().arena_canaries;
-    exec_options.intra_op_threads = model_->options().intra_op_threads;
-    exec_options.cancel = &token_;
-    runtime::ExecutorBinding binding;
-    binding.prepack = &model_->prepack();
-    binding.plan = &model_->plan(k);
-    binding.slab = raw;
-    binding.slab_bytes = bytes;
     executors_.push_back(
         std::make_unique<runtime::Executor>(model_->graph(k), exec_options, binding));
   }
 
   // The circuit breaker's isolation variant: batch 1, kernels pinned serial,
   // numeric checks forced on regardless of compile options.  Same slab and
-  // plan as the normal batch-1 executor, so it costs no extra memory.
-  {
-    runtime::ExecutorOptions exec_options;
-    exec_options.use_arena = true;
-    exec_options.check_numerics = true;
-    exec_options.arena_canaries = model_->options().arena_canaries;
-    exec_options.intra_op_threads = 1;
-    exec_options.cancel = &token_;
-    runtime::ExecutorBinding binding;
-    binding.prepack = &model_->prepack();
-    binding.plan = &model_->plan(1);
-    binding.slab = raw;
-    binding.slab_bytes = bytes;
-    degraded_executor_ =
-        std::make_unique<runtime::Executor>(model_->graph(1), exec_options, binding);
-  }
+  // plan as the normal executors, so it costs no extra memory.
+  exec_options.check_numerics = true;
+  exec_options.intra_op_threads = 1;
+  degraded_executor_ =
+      std::make_unique<runtime::Executor>(model_->graph(1), exec_options, binding);
 
   // Max-batch staging storage, with one prebuilt batch-k view per variant.
   // The batch dimension is outermost, so "the first k rows" is a prefix of
@@ -163,17 +153,15 @@ std::vector<Tensor> Session::run(const std::vector<Tensor>& inputs) {
 std::int64_t Session::quarantine_scrub() {
   unsigned char* bytes = reinterpret_cast<unsigned char*>(slab_.get());
   std::int64_t corrupt = 0;
-  // Audit every variant's guard bands before scrubbing.  Plans overlap in
-  // the slab (each run rewrites it wholesale), so a band of one variant may
-  // legitimately hold another variant's payload bytes — the count is a
-  // blast-radius *diagnostic*, upper-bounding what a rogue write could have
-  // touched, not an exact tally.
-  for (std::size_t k = 1; k <= model_->max_batch(); ++k) {
-    const runtime::ArenaPlan& plan = model_->plan(k);
-    if (plan.canary_bytes == 0) continue;
-    for (const runtime::ArenaBlock& block : plan.blocks) {
-      if (block.bytes < plan.canary_bytes) continue;
-      const unsigned char* band = bytes + block.offset + (block.bytes - plan.canary_bytes);
+  // Audit every variant's guard bands before scrubbing.  Each variant's band
+  // sits after its own payload in the one plan's block, so a band of one
+  // variant may legitimately hold a wider variant's payload bytes — the
+  // count is a blast-radius *diagnostic*, upper-bounding what a rogue write
+  // could have touched, not an exact tally.
+  const runtime::ArenaPlan& plan = model_->plan();
+  for (std::size_t k = 1; plan.canary_bytes > 0 && k <= model_->max_batch(); ++k) {
+    for (const ir::Node& node : model_->graph(k).nodes()) {
+      const unsigned char* band = bytes + plan.band_offset(node);
       for (std::int64_t b = 0; b < plan.canary_bytes; ++b) {
         if (band[b] != runtime::kArenaPoisonByte) ++corrupt;
       }

@@ -2,10 +2,11 @@
 //
 // A Session is the mutable half of the serving runtime: one preallocated
 // arena slab plus one bound arena executor per batch variant of a shared
-// CompiledModel.  Everything a run needs — the slab, the staging tensors
-// batched requests are gathered into, the executors' bound views — is
-// allocated at construction, so the steady-state path performs zero heap
-// allocations and zero re-planning: check out a session, gather, run, split.
+// CompiledModel, all on the model's one arena plan.  Everything a run needs
+// — the slab, the staging tensors batched requests are gathered into, the
+// executors' bound views — is allocated at construction, so the steady-state
+// path performs zero heap allocations and zero re-planning: check out a
+// session, gather, run, split.
 //
 // Sessions are NOT thread-safe (the batch variants deliberately share one
 // slab); the SessionPool provides the checkout protocol that keeps each
@@ -45,7 +46,7 @@ class Session {
  public:
   /// Allocates the slab (poison-filled when the model compiled with
   /// arena_canaries, zeroed otherwise) and binds one arena executor per
-  /// batch variant to it.  All expensive work happens here, never in run.
+  /// batch variant to it and the one plan.  All expensive work is done here.
   explicit Session(std::shared_ptr<const CompiledModel> model);
 
   Session(const Session&) = delete;
@@ -77,9 +78,9 @@ class Session {
   /// Single-request sugar: run_batch of one, unwrapped.
   std::vector<Tensor> run(const std::vector<Tensor>& inputs);
 
-  /// Quarantine hygiene: audits every guard band of the arena plans for
-  /// bytes that no longer hold the canary pattern (a blast-radius estimate
-  /// of what a corrupting fault touched; 0 when the model compiled without
+  /// Quarantine hygiene: audits every batch variant's guard bands for bytes
+  /// that no longer hold the canary pattern (a blast-radius estimate of what
+  /// a corrupting fault touched; 0 when the model compiled without
   /// canaries), then poison-fills the whole slab so stale data can never be
   /// read as valid.  Called by SessionPool::quarantine before the session
   /// is destroyed; harmless to call on a healthy session.

@@ -93,23 +93,21 @@ std::vector<Tensor> random_inputs(const CompiledModel& model, Rng& rng) {
 void expect_plans_equal(const CompiledModel& a, const CompiledModel& b,
                         const std::string& label) {
   ASSERT_EQ(a.max_batch(), b.max_batch()) << label;
-  for (std::size_t k = 1; k <= a.max_batch(); ++k) {
-    const runtime::ArenaPlan& pa = a.plan(k);
-    const runtime::ArenaPlan& pb = b.plan(k);
-    ASSERT_EQ(pa.blocks.size(), pb.blocks.size()) << label << " batch " << k;
-    for (std::size_t i = 0; i < pa.blocks.size(); ++i) {
-      EXPECT_EQ(pa.blocks[i].offset, pb.blocks[i].offset) << label << " batch " << k;
-      EXPECT_EQ(pa.blocks[i].bytes, pb.blocks[i].bytes) << label << " batch " << k;
-      EXPECT_EQ(pa.blocks[i].range.begin, pb.blocks[i].range.begin) << label;
-      EXPECT_EQ(pa.blocks[i].range.end, pb.blocks[i].range.end) << label;
-    }
-    EXPECT_EQ(pa.arena_bytes, pb.arena_bytes) << label << " batch " << k;
-    EXPECT_EQ(pa.tensor_bytes, pb.tensor_bytes) << label << " batch " << k;
-    EXPECT_EQ(pa.scratch_offset, pb.scratch_offset) << label << " batch " << k;
-    EXPECT_EQ(pa.scratch_slot_bytes, pb.scratch_slot_bytes) << label << " batch " << k;
-    EXPECT_EQ(pa.scratch_slots, pb.scratch_slots) << label << " batch " << k;
-    EXPECT_EQ(pa.canary_bytes, pb.canary_bytes) << label << " batch " << k;
+  const runtime::ArenaPlan& pa = a.plan();
+  const runtime::ArenaPlan& pb = b.plan();
+  ASSERT_EQ(pa.blocks.size(), pb.blocks.size()) << label;
+  for (std::size_t i = 0; i < pa.blocks.size(); ++i) {
+    EXPECT_EQ(pa.blocks[i].offset, pb.blocks[i].offset) << label << " block " << i;
+    EXPECT_EQ(pa.blocks[i].bytes, pb.blocks[i].bytes) << label << " block " << i;
+    EXPECT_EQ(pa.blocks[i].range.begin, pb.blocks[i].range.begin) << label;
+    EXPECT_EQ(pa.blocks[i].range.end, pb.blocks[i].range.end) << label;
   }
+  EXPECT_EQ(pa.arena_bytes, pb.arena_bytes) << label;
+  EXPECT_EQ(pa.tensor_bytes, pb.tensor_bytes) << label;
+  EXPECT_EQ(pa.scratch_offset, pb.scratch_offset) << label;
+  EXPECT_EQ(pa.scratch_slot_bytes, pb.scratch_slot_bytes) << label;
+  EXPECT_EQ(pa.scratch_slots, pb.scratch_slots) << label;
+  EXPECT_EQ(pa.canary_bytes, pb.canary_bytes) << label;
 }
 
 void expect_packed_equal(const CompiledModel& a, const CompiledModel& b,

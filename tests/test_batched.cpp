@@ -167,5 +167,41 @@ TEST(PackedWeightsTest, OnePackingServesEveryBatchVariant) {
   EXPECT_EQ(a.packed_weight_bytes, b.packed_weight_bytes);
 }
 
+TEST(ArenaPlanBindingTest, WidestPlanBindsNarrowerBatchesOnly) {
+  const auto config = unit_config();
+  const Graph b1 = core::optimize(
+      decomp::decompose(models::build_resnet(18, config), {.ratio = 0.25}).graph, {});
+  const Graph b4 = ir::rebatched(b1, 4);
+  const runtime::ArenaPlan wide = runtime::plan_arena(b4, {.canary_bytes = kTensorAlignment});
+  const runtime::ArenaPlan narrow = runtime::plan_arena(b1, {.canary_bytes = kTensorAlignment});
+  const runtime::ExecutorOptions options{.use_arena = true, .arena_canaries = true};
+
+  // Liveness is the schedule's and blocks only shrink with the batch, so the
+  // batch-4 plan runs batch 1 to the bytes of batch 1's own plan.
+  runtime::ExecutorBinding binding;
+  binding.plan = &wide;
+  runtime::Executor bound(b1, options, binding);
+  EXPECT_EQ(bound.arena_plan(), &wide) << "a bound plan is kept by pointer, not copied";
+  runtime::Executor own(b1, options);
+  Rng rng(5);
+  const Tensor input = Tensor::random_normal(Shape{1, 3, config.image, config.image}, rng);
+  const auto a = bound.run({input});
+  const auto b = own.run({input});
+  ASSERT_EQ(a.outputs.size(), b.outputs.size());
+  for (std::size_t i = 0; i < a.outputs.size(); ++i) {
+    EXPECT_TRUE(bitwise_equal(a.outputs[i], b.outputs[i])) << "output " << i;
+  }
+
+  // The reverse does not fit: batch 1's blocks cannot hold batch 4's tensors.
+  binding.plan = &narrow;
+  EXPECT_THROW(runtime::Executor(b4, options, binding), InvalidGraphError);
+
+  // Nor does a plan whose live ranges are another schedule's.
+  runtime::ArenaPlan reordered = wide;
+  reordered.blocks[1].range.end += 1;
+  binding.plan = &reordered;
+  EXPECT_THROW(runtime::Executor(b4, options, binding), InvalidGraphError);
+}
+
 }  // namespace
 }  // namespace temco

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -298,21 +299,32 @@ TEST_F(QuarantineTest, CorruptingFaultRetiresTheSessionAndThePoolReplacesIt) {
 
 TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
   auto model = tolerant_model();
-  SessionPool pool(model, 1);
-  {
-    SessionPool::Lease lease = pool.acquire();
-    Rng rng(10);
-    // Stomp one guard band via the executor's oob failpoint, swallowing the
-    // MemoryCorruptionError it raises at free time.
-    failpoints::arm("executor.oob_write", 1);
-    EXPECT_THROW(lease->run(random_request(*model, rng)), MemoryCorruptionError);
-    pool.quarantine(std::move(lease));
+  ASSERT_GE(model->max_batch(), 2u);
+  // Every variant binds the one max-batch plan, and each variant's bands sit
+  // after its own payloads: the narrowest and the widest batch must both
+  // detect the stomp and count it at scrub time.
+  for (const std::size_t batch : {std::size_t{1}, model->max_batch()}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    SessionPool pool(model, 1);
+    {
+      SessionPool::Lease lease = pool.acquire();
+      Rng rng(10);
+      std::vector<std::vector<Tensor>> requests;
+      for (std::size_t r = 0; r < batch; ++r) requests.push_back(random_request(*model, rng));
+      std::vector<const std::vector<Tensor>*> pointers;
+      for (const auto& request : requests) pointers.push_back(&request);
+      // Stomp one guard band via the executor's oob failpoint, swallowing the
+      // MemoryCorruptionError it raises at free time.
+      failpoints::arm("executor.oob_write", 1);
+      EXPECT_THROW(lease->run_batch(pointers), MemoryCorruptionError);
+      pool.quarantine(std::move(lease));
+    }
+    const auto stats = pool.stats();
+    EXPECT_EQ(stats.quarantined, 1u);
+    EXPECT_EQ(stats.replaced, 1u);
+    EXPECT_GT(stats.corrupt_band_bytes, 0) << "the audit must see the stomped canary byte";
+    EXPECT_EQ(pool.available(), 1u);
   }
-  const auto stats = pool.stats();
-  EXPECT_EQ(stats.quarantined, 1u);
-  EXPECT_EQ(stats.replaced, 1u);
-  EXPECT_GT(stats.corrupt_band_bytes, 0) << "the audit must see the stomped canary byte";
-  EXPECT_EQ(pool.available(), 1u);
 }
 
 // ---- circuit breaker -------------------------------------------------------

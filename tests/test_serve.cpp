@@ -94,10 +94,9 @@ TEST(CompiledModelTest, StampsOneVariantPerBatchWithSharedArtifacts) {
         EXPECT_EQ(node.out_shape[0], static_cast<std::int64_t>(k));
       }
     }
-    EXPECT_LE(model->plan(k).arena_bytes, model->slab_bytes());
+    // The one plan, packed for batch 4, holds every narrower variant.
+    EXPECT_NO_THROW(runtime::validate_arena_plan(variant, model->plan())) << "batch " << k;
   }
-  EXPECT_EQ(model->plan(4).arena_bytes, model->slab_bytes())
-      << "the largest variant should size the shared slab";
   EXPECT_GT(model->packed_weight_bytes(), 0);
 }
 

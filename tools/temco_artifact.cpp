@@ -5,8 +5,8 @@
 //   temco_artifact info <path> [--json]            load (full validation) and
 //                                                  print an artifact summary;
 //                                                  --json emits a machine-
-//                                                  readable per-variant
-//                                                  slab/budget report
+//                                                  readable slab/budget
+//                                                  report
 //   temco_artifact golden <path>                   write the canonical tiny
 //                                                  artifact the version-skew
 //                                                  test pins (deterministic
@@ -108,8 +108,7 @@ int cmd_info(int argc, char** argv) {
   const std::int64_t budget = model->options().max_arena_bytes;
   if (json) {
     // Stable keys for capacity-planning scripts: everything the human
-    // report prints, plus the per-variant slab table as structured rows.
-    // arena_budget_bytes 0 means unconstrained.
+    // report prints.  arena_budget_bytes 0 means unconstrained.
     std::printf("{\n");
     std::printf("  \"artifact\": \"%s\",\n  \"bytes\": %zu,\n  \"mmapped\": %s,\n", path,
                 file->size(), file->memory_mapped() ? "true" : "false");
@@ -124,15 +123,8 @@ int cmd_info(int argc, char** argv) {
     std::printf("  \"weight_bytes\": %lld,\n  \"packed_weight_bytes\": %lld,\n",
                 static_cast<long long>(model->weight_bytes()),
                 static_cast<long long>(model->packed_weight_bytes()));
-    std::printf("  \"inputs\": %zu,\n  \"outputs\": %zu,\n", model->num_inputs(),
+    std::printf("  \"inputs\": %zu,\n  \"outputs\": %zu\n}\n", model->num_inputs(),
                 model->num_outputs());
-    std::printf("  \"variants\": [\n");
-    for (std::size_t k = 1; k <= model->max_batch(); ++k) {
-      std::printf("    {\"batch\": %zu, \"slab_bytes\": %lld, \"tensors\": %zu}%s\n", k,
-                  static_cast<long long>(model->plan(k).arena_bytes),
-                  model->plan(k).blocks.size(), k == model->max_batch() ? "" : ",");
-    }
-    std::printf("  ]\n}\n");
     return 0;
   }
   std::printf("artifact:        %s (%zu bytes, %s)\n", path, file->size(),
@@ -143,7 +135,10 @@ int cmd_info(int argc, char** argv) {
   std::printf("optimized:       %s\n", model->options().optimize ? "yes" : "no");
   std::printf("max batch:       %zu\n", model->max_batch());
   std::printf("graph nodes:     %zu\n", model->graph(1).size());
-  std::printf("slab bytes:      %lld\n", static_cast<long long>(model->slab_bytes()));
+  // The memory geometry capacity planning needs: the one slab a session
+  // allocates, which every batch variant runs in.
+  std::printf("slab bytes:      %lld (every batch 1..%zu)\n",
+              static_cast<long long>(model->slab_bytes()), model->max_batch());
   if (budget > 0) {
     std::printf("arena budget:    %lld (slab uses %.0f%%)\n", static_cast<long long>(budget),
                 100.0 * static_cast<double>(model->slab_bytes()) / static_cast<double>(budget));
@@ -152,13 +147,6 @@ int cmd_info(int argc, char** argv) {
   }
   std::printf("weight bytes:    %lld\n", static_cast<long long>(model->weight_bytes()));
   std::printf("packed bytes:    %lld\n", static_cast<long long>(model->packed_weight_bytes()));
-  // The memory geometry capacity planning needs: what one session of each
-  // batch variant actually allocates.
-  for (std::size_t k = 1; k <= model->max_batch(); ++k) {
-    std::printf("  batch %-2zu slab: %lld B (%zu tensors)\n", k,
-                static_cast<long long>(model->plan(k).arena_bytes),
-                model->plan(k).blocks.size());
-  }
   std::printf("inputs/outputs:  %zu/%zu\n", model->num_inputs(), model->num_outputs());
   if (model->options().optimize) {
     std::printf("pipeline stats:  %s\n", model->stats().to_string().c_str());
