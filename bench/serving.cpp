@@ -25,8 +25,8 @@
 //             counts a value iff it arrived within its deadline: a
 //             scheduling-and-admission win, not a parallelism win.
 //
-// Cold start — compile-at-boot (decompose + TeMCO pipeline + variant
-// stamping + weight packing) versus CompiledModel::load of the artifact.
+// Cold start — compile-at-boot (decompose + TeMCO pipeline + arena
+// planning + weight packing) versus CompiledModel::load of the artifact.
 //
 // Every artifact's fleet output is first checked bitwise against the naive
 // mode's Executor.  Each mode, leg and cold-start step runs --repeats times;
@@ -523,7 +523,7 @@ ColdStart run_cold_start(const ir::Graph& original, const Config& config,
     Timer timer;
     const auto loaded = serve::CompiledModel::load(path);
     const double seconds = timer.elapsed_seconds();
-    TEMCO_CHECK(loaded->max_batch() == compiled->max_batch()) << "artifact dropped variants";
+    TEMCO_CHECK(loaded->max_batch() == compiled->max_batch()) << "artifact lost max_batch";
     return seconds;
   });
   result.artifact_bytes = std::filesystem::file_size(path);

@@ -131,9 +131,8 @@ class Graph {
 
 /// Returns a copy of `graph` whose input nodes carry `batch` in dimension 0,
 /// with every downstream shape re-inferred.  Weight tensors are shared
-/// handles, so a variant costs activation metadata only — the serving
-/// runtime (src/serve) stamps one execution variant per batch size out of a
-/// single compiled template this way.
+/// handles, so a restamp costs activation metadata only — a serving session
+/// (src/serve) restamps its model's batch-1 graph to max_batch this way.
 Graph rebatched(const Graph& graph, std::int64_t batch);
 
 }  // namespace temco::ir

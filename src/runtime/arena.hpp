@@ -23,14 +23,13 @@
 
 #include "ir/graph.hpp"
 #include "runtime/liveness.hpp"
-#include "support/align.hpp"
 
 namespace temco::runtime {
 
 /// One packed tensor: the half-open byte range [offset, offset + bytes) is
 /// reserved for value `id` during its live interval `range`.  When the plan
 /// carries canaries, the block also holds a guard band the tensor payload
-/// never legally touches (ArenaPlan::band_offset).
+/// never legally touches, right after the payload of the batch being run.
 struct ArenaBlock {
   ir::ValueId id = ir::kInvalidValue;
   std::int64_t offset = 0;  ///< slab offset, kTensorAlignment-aligned
@@ -58,12 +57,6 @@ struct ArenaPlan {
 
   const ArenaBlock& block(ir::ValueId id) const {
     return blocks[static_cast<std::size_t>(id)];
-  }
-
-  /// Slab offset of `node`'s guard band: right after its aligned payload, so
-  /// the band moves with the batch of the graph bound to the plan.
-  std::int64_t band_offset(const ir::Node& node) const {
-    return block(node.id).offset + align_up(node.out_shape.bytes());
   }
 };
 

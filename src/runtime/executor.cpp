@@ -124,6 +124,12 @@ std::size_t packed_buffer_bytes(const ir::Graph& graph) {
   return for_each_blob(graph, [](const ir::Node&, std::size_t, std::int64_t) {});
 }
 
+/// True when `got` is `declared` with `rows` in dimension 0; allocates nothing.
+bool matches_at_rows(const Shape& got, const Shape& declared, std::int64_t rows) {
+  if (got.rank() != declared.rank() || got.rank() == 0 || got[0] != rows) return false;
+  return std::equal(got.dims().begin() + 1, got.dims().end(), declared.dims().begin() + 1);
+}
+
 }  // namespace
 
 std::int64_t PackedWeights::node_floats(const ir::Node& node) {
@@ -185,6 +191,7 @@ Executor::Executor(const ir::Graph& graph, ExecutorOptions options, const Execut
   for (const ir::Node& node : graph_.nodes()) {
     if (node.kind == ir::OpKind::kInput) input_ids_.push_back(node.id);
   }
+  batch_ = graph_.node(input_ids_.front()).out_shape[0];
   if (options_.intra_op_threads != 0) {
     // Dedicated kernel-loop pool of the configured width; run_node installs
     // it as the scoped intra-op pool so every kernel's internal parallel_for
@@ -211,7 +218,7 @@ Executor::Executor(const ir::Graph& graph, ExecutorOptions options, const Execut
 
 void Executor::bind_arena(const ExecutorBinding& binding) {
   if (binding.plan != nullptr) {
-    // Adopt a shared, pre-validated plan, perhaps packed for a wider batch of
+    // Adopt a shared, pre-validated plan, perhaps packed at a wider batch of
     // this schedule.  Same live ranges and blocks that hold this graph's
     // tensors keep validate_arena_plan's pairwise guarantee; O(n) to check.
     const ArenaPlan& plan = *binding.plan;
@@ -241,9 +248,9 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
 
   float* raw = nullptr;
   if (binding.slab != nullptr) {
-    // Caller-owned slab (serving sessions share one across batch variants).
-    // The caller is responsible for its initial fill; canary bands are
-    // rewritten as each value comes alive, so a poison or zero fill is fine.
+    // Caller-owned slab (a serving session's executors share one).  The
+    // caller is responsible for its initial fill; canary bands are rewritten
+    // as each value comes alive, so a poison or zero fill is fine.
     TEMCO_CHECK_AS(reinterpret_cast<std::uintptr_t>(binding.slab) %
                            static_cast<std::uintptr_t>(kTensorAlignment) ==
                        0,
@@ -295,20 +302,25 @@ void Executor::bind_arena(const ExecutorBinding& binding) {
   planned_peak_ = plan_memory(graph_).peak_internal_bytes;
 }
 
-void Executor::check_inputs(const std::vector<Tensor>& inputs) const {
+std::int64_t Executor::check_inputs(const std::vector<Tensor>& inputs) const {
   // Up-front validation with errors naming the input node; without it a
   // mismatch would surface as an opaque TEMCO_CHECK deep inside some kernel.
   TEMCO_CHECK_AS(inputs.size() == input_ids_.size(), InvalidGraphError)
       << "expected " << input_ids_.size() << " input tensor(s) (one per kInput node), got "
       << inputs.size();
+  std::int64_t rows = 0;
   for (std::size_t i = 0; i < inputs.size(); ++i) {
     const ir::Node& node = graph_.node(input_ids_[i]);
     TEMCO_CHECK_AS(inputs[i].defined(), InvalidGraphError)
         << node.name << ": input tensor " << i << " is undefined (no storage)";
-    TEMCO_CHECK_AS(inputs[i].shape() == node.out_shape, ShapeError)
+    if (i == 0 && inputs[0].shape().rank() > 0) rows = inputs[0].shape()[0];
+    TEMCO_CHECK_AS(matches_at_rows(inputs[i].shape(), node.out_shape, rows), ShapeError)
         << node.name << ": input shape " << inputs[i].shape() << " != declared "
-        << node.out_shape;
+        << node.out_shape << " at batch " << rows;
   }
+  TEMCO_CHECK_AS(rows >= 1 && rows <= batch_, ShapeError)
+      << "input batch " << rows << " outside [1, " << batch_ << "], the graph's batch";
+  return rows;
 }
 
 void Executor::check_node_output(const ir::Node& node, const Tensor& out) const {
@@ -322,24 +334,22 @@ void Executor::check_node_output(const ir::Node& node, const Tensor& out) const 
   }
 }
 
-void Executor::write_canary(const ir::Node& node) {
-  unsigned char* base = reinterpret_cast<unsigned char*>(slab_.get());
-  std::memset(base + plan_->band_offset(node), kCanaryByte,
-              static_cast<std::size_t>(plan_->canary_bytes));
+unsigned char* Executor::band(ir::ValueId id) const {
+  return reinterpret_cast<unsigned char*>(slab_.get()) + plan_->block(id).offset +
+         align_up(bound_[static_cast<std::size_t>(id)].bytes());
 }
 
-void Executor::check_canary(ir::ValueId id, const ir::Node& at) const {
-  const unsigned char* band = reinterpret_cast<const unsigned char*>(slab_.get()) +
-                              plan_->band_offset(graph_.node(id));
-  for (std::int64_t i = 0; i < plan_->canary_bytes; ++i) {
-    TEMCO_CHECK_AS(band[i] == kCanaryByte, MemoryCorruptionError)
-        << "guard band of " << graph_.node(id).name << " corrupted (byte " << i
-        << "), detected freeing after node " << at.name
-        << " — some kernel wrote outside its arena slot";
-  }
+void Executor::check_canary(ir::ValueId id, const ir::Node& at) {
+  const unsigned char* guard = band(id);
+  stomped_band_bytes_ = std::count_if(guard, guard + plan_->canary_bytes,
+                                      [](unsigned char b) { return b != kCanaryByte; });
+  TEMCO_CHECK_AS(stomped_band_bytes_ == 0, MemoryCorruptionError)
+      << "guard band of " << graph_.node(id).name << " corrupted (" << stomped_band_bytes_
+      << " byte(s)), detected freeing after node " << at.name
+      << " — some kernel wrote outside its arena slot";
 }
 
-void Executor::check_outputs(const std::vector<Tensor>& outputs) const {
+void Executor::check_outputs(const std::vector<Tensor>& outputs, std::int64_t rows) const {
   const std::vector<ir::ValueId>& outs = graph_.outputs();
   TEMCO_CHECK_AS(outputs.size() == outs.size(), InvalidGraphError)
       << "expected " << outs.size() << " output tensor(s) (one per graph output), got "
@@ -348,9 +358,9 @@ void Executor::check_outputs(const std::vector<Tensor>& outputs) const {
     const ir::Node& node = graph_.node(outs[i]);
     TEMCO_CHECK_AS(outputs[i].defined(), InvalidGraphError)
         << node.name << ": output tensor " << i << " is undefined (no storage)";
-    TEMCO_CHECK_AS(outputs[i].shape() == node.out_shape, ShapeError)
-        << node.name << ": output shape " << outputs[i].shape() << " != declared "
-        << node.out_shape;
+    TEMCO_CHECK_AS(matches_at_rows(outputs[i].shape(), node.out_shape, rows), ShapeError)
+        << node.name << ": output shape " << outputs[i].shape() << " != expected "
+        << node.out_shape.with_dim(0, rows);
   }
   // Aliasing rules.  Two destination tensors sharing bytes would make the
   // result order-dependent; a destination inside the arena slab would be
@@ -377,11 +387,12 @@ void Executor::check_outputs(const std::vector<Tensor>& outputs) const {
 }
 
 ExecutionResult Executor::run(const std::vector<Tensor>& inputs) {
+  const std::int64_t rows = check_inputs(inputs);
   // Fresh heap destinations each run: callers may keep results across runs.
   std::vector<Tensor> outputs;
   outputs.reserve(graph_.outputs().size());
   for (const ir::ValueId out : graph_.outputs()) {
-    outputs.emplace_back(Tensor::zeros(graph_.node(out).out_shape));
+    outputs.emplace_back(Tensor::zeros(graph_.node(out).out_shape.with_dim(0, rows)));
   }
   ExecutionResult result = run_into(inputs, outputs);
   result.outputs = std::move(outputs);
@@ -390,27 +401,27 @@ ExecutionResult Executor::run(const std::vector<Tensor>& inputs) {
 
 ExecutionResult Executor::run_into(const std::vector<Tensor>& inputs,
                                    std::vector<Tensor>& outputs) {
-  check_inputs(inputs);
-  check_outputs(outputs);
+  const std::int64_t rows = check_inputs(inputs);
+  check_outputs(outputs, rows);
   ExecutionResult result;
-  run_dispatch(inputs, outputs, result);
+  run_dispatch(inputs, outputs, rows, result);
   return result;
 }
 
 void Executor::run_dispatch(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                            ExecutionResult& result) {
+                            std::int64_t rows, ExecutionResult& result) {
   // Admission check: a run whose token already stopped never starts.  The
   // per-node polls below bound how much work an in-flight stop can waste.
   if (options_.cancel != nullptr) options_.cancel->raise_if_stopped();
   if (options_.use_arena) {
-    run_arena(inputs, outputs, result);
+    run_arena(inputs, outputs, rows, result);
   } else {
-    run_reference(inputs, outputs, result);
+    run_reference(inputs, outputs, rows, result);
   }
 }
 
 void Executor::run_reference(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                             ExecutionResult& result) {
+                             std::int64_t rows, ExecutionResult& result) {
   TrackingAllocator allocator;
   std::vector<Tensor> values(graph_.size());
   std::vector<const Tensor*> args;
@@ -425,7 +436,7 @@ void Executor::run_reference(const std::vector<Tensor>& inputs, std::vector<Tens
       // internal tensor and occupies framework memory during inference.
       const std::size_t pos = static_cast<std::size_t>(
           std::find(input_ids_.begin(), input_ids_.end(), node.id) - input_ids_.begin());
-      Tensor tracked(node.out_shape, allocator.allocate(node.out_shape.numel()));
+      Tensor tracked(inputs[pos].shape(), allocator.allocate(inputs[pos].numel()));
       std::copy(inputs[pos].span().begin(), inputs[pos].span().end(), tracked.span().begin());
       values[slot] = std::move(tracked);
     } else {
@@ -435,7 +446,8 @@ void Executor::run_reference(const std::vector<Tensor>& inputs, std::vector<Tens
         TEMCO_CHECK(t.defined()) << node.name << ": input " << i << " was freed too early";
         args.push_back(&t);
       }
-      Tensor out(node.out_shape, allocator.allocate(node.out_shape.numel()));
+      const Shape shape = node.out_shape.with_dim(0, rows);
+      Tensor out(shape, allocator.allocate(shape.numel()));
       run_node(node, args, out, FusedScratch{}, prepack_->blob(node.id), intra_pool_.get());
       check_node_output(node, out);
       values[slot] = std::move(out);
@@ -464,7 +476,13 @@ void Executor::run_reference(const std::vector<Tensor>& inputs, std::vector<Tens
 }
 
 void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                         ExecutionResult& result) {
+                         std::int64_t rows, ExecutionResult& result) {
+  if (bound_.front().shape()[0] != rows) {
+    // Every value's leading dimension is the batch, and its first `rows`
+    // rows are a prefix of its block: re-view each bound tensor in place.
+    for (Tensor& view : bound_) view.set_rows(rows);
+  }
+  stomped_band_bytes_ = 0;
   const FusedScratch scratch{
       slab_.get() + plan_->scratch_offset / static_cast<std::int64_t>(sizeof(float)),
       plan_->scratch_slot_bytes / static_cast<std::int64_t>(sizeof(float)),
@@ -477,7 +495,9 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
     const std::size_t slot = static_cast<std::size_t>(node.id);
     // The band must be (re)written when the value comes alive: its bytes may
     // have served as another value's payload earlier in this run.
-    if (canaries) write_canary(node);
+    if (canaries) {
+      std::memset(band(node.id), kCanaryByte, static_cast<std::size_t>(plan_->canary_bytes));
+    }
     if (node.kind == ir::OpKind::kInput) {
       const std::size_t pos = static_cast<std::size_t>(
           std::find(input_ids_.begin(), input_ids_.end(), node.id) - input_ids_.begin());
@@ -488,8 +508,10 @@ void Executor::run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>&
       check_node_output(node, bound_[slot]);
     }
     if (canaries && fp_oob_write.fire()) {
-      // Simulated kernel bug: stomp the first canary byte of this node's slot.
-      reinterpret_cast<unsigned char*>(slab_.get())[plan_->band_offset(node)] = 0;
+      // Simulated kernel bug: write the first aligned byte past this run's
+      // rows of the node's output.
+      Tensor& out = bound_[slot];
+      reinterpret_cast<unsigned char*>(out.data())[align_up(out.bytes())] = 0;
     }
     // Free time: verify the guard band of every value that dies here (graph
     // outputs die at the last step, so they are covered too).

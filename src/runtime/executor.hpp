@@ -18,6 +18,10 @@
 // paper's §2.2 executor does; parallelism lives inside the kernels
 // (ExecutorOptions::intra_op_threads).  Serving gets its concurrency from
 // many executors running different requests (src/serve).
+//
+// A run takes its batch k from its inputs' leading dimension, any k up to the
+// graph's batch B.  The batch dimension is outermost (§2.2), so the arena
+// path re-views each value's first k rows in place: one plan serves every k.
 #pragma once
 
 #include <memory>
@@ -40,14 +44,14 @@ struct StepTrace {
 
 struct ExecutionResult {
   std::vector<Tensor> outputs;           ///< one per graph output, in order
-  std::int64_t peak_internal_bytes = 0;  ///< measured (reference) / planned (arena)
+  std::int64_t peak_internal_bytes = 0;  ///< measured (reference) / planned at batch B (arena)
   std::int64_t weight_bytes = 0;         ///< constant weights (loaded up-front)
   /// Extra weight-side bytes held by the executor's plan-time GEMM weight
   /// packing (kernels/gemm.hpp).  Like weight_bytes it is constant across
   /// runs, paid once at construction — reported separately so the
   /// internal-tensor peak the paper's figures track stays untouched.
   std::int64_t packed_weight_bytes = 0;
-  std::int64_t arena_bytes = 0;          ///< slab size; 0 on the reference path
+  std::int64_t arena_bytes = 0;          ///< slab size at batch B; 0 on the reference path
   std::int64_t heap_allocations = 0;     ///< per-node tensor allocations this run (arena: 0)
   /// Per-node live-byte series (Fig. 4), measured by the reference path.
   /// Empty on the arena path, which never frees and would otherwise copy
@@ -60,7 +64,7 @@ struct ExecutionResult {
 /// Plan-time GEMM weight packing for a graph: one blob per node that wants
 /// one (none otherwise), indexed by ValueId.  Packing depends only on weight
 /// contents and output *width*, never on the batch dimension, so one build is
-/// valid for every batch variant of a graph (asserted in tests) — the serving
+/// valid for the graph at every batch (asserted in tests) — the serving
 /// runtime shares a single PackedWeights read-only across all sessions.
 ///
 /// Storage is one 64-byte-aligned buffer behind a shared owner.  The layout
@@ -108,11 +112,11 @@ struct PackedWeights {
 inline constexpr unsigned char kArenaPoisonByte = 0xFF;
 
 /// Immutable, shareable construction inputs for the serving path (src/serve).
-/// Many executors — across sessions, threads and batch variants — reuse one
-/// packed-weight set and one pre-validated arena plan instead of re-deriving
-/// them, and bind to a caller-owned slab so N batch variants of a session
-/// share one allocation.  Everything pointed to must outlive the executor,
-/// which keeps the pointers and never writes through them.
+/// Many executors — across sessions and threads — reuse one packed-weight set
+/// and one pre-validated arena plan instead of re-deriving them, and bind to
+/// a caller-owned slab so a session's executors share one allocation.
+/// Everything pointed to must outlive the executor, which keeps the pointers
+/// and never writes through them.
 struct ExecutorBinding {
   /// Prebuilt packing (PackedWeights::build); nullptr builds per-executor.
   const PackedWeights* prepack = nullptr;
@@ -179,13 +183,13 @@ class Executor {
   Executor(const ir::Graph& graph, ExecutorOptions options, const ExecutorBinding& binding);
 
   /// Runs the graph on `inputs` (one tensor per kInput node, in definition
-  /// order).  Reference mode keeps no state across runs.  Arena mode reuses
-  /// the slab between runs, so concurrent run() calls on one arena executor
-  /// are not allowed — build one executor per stream instead.
+  /// order, all at one batch k ≤ B) and returns outputs at k.  Reference mode
+  /// keeps no state across runs.  Arena mode reuses the slab between runs, so
+  /// concurrent run() calls on one arena executor are not allowed.
   ExecutionResult run(const std::vector<Tensor>& inputs);
 
   /// Like run(), but writes each graph output into the caller-provided
-  /// tensor of `outputs` (one per graph output, in order, exact shapes)
+  /// tensor of `outputs` (one per graph output, in order, at the inputs' k)
   /// instead of cloning onto the heap — the zero-allocation steady-state
   /// entry point the serving runtime uses.  The returned result's `outputs`
   /// vector stays empty.  Throws InvalidGraphError/ShapeError on count,
@@ -197,25 +201,32 @@ class Executor {
   /// The adopted packing; nullptr unless use_arena.
   const ArenaPlan* arena_plan() const { return plan_; }
 
+  /// Guard-band bytes the latest arena run found stomped: exact, and 0 unless
+  /// it raised MemoryCorruptionError.
+  std::int64_t stomped_band_bytes() const { return stomped_band_bytes_; }
+
  private:
   void bind_arena(const ExecutorBinding& binding);
-  void check_inputs(const std::vector<Tensor>& inputs) const;
-  void check_outputs(const std::vector<Tensor>& outputs) const;
+  std::int64_t check_inputs(const std::vector<Tensor>& inputs) const;
+  void check_outputs(const std::vector<Tensor>& outputs, std::int64_t rows) const;
   void check_node_output(const ir::Node& node, const Tensor& out) const;
-  void write_canary(const ir::Node& node);
-  void check_canary(ir::ValueId id, const ir::Node& at) const;
+  /// `id`'s guard band: right after its payload at the bound batch, so a
+  /// narrow run's overflow lands on it.
+  unsigned char* band(ir::ValueId id) const;
+  void check_canary(ir::ValueId id, const ir::Node& at);
   void run_dispatch(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                    ExecutionResult& result);
+                    std::int64_t rows, ExecutionResult& result);
   void run_reference(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                     ExecutionResult& result);
+                     std::int64_t rows, ExecutionResult& result);
   void run_arena(const std::vector<Tensor>& inputs, std::vector<Tensor>& outputs,
-                 ExecutionResult& result);
+                 std::int64_t rows, ExecutionResult& result);
 
   const ir::Graph& graph_;
   ExecutorOptions options_;
   std::vector<LiveRange> liveness_;
   std::vector<std::vector<ir::ValueId>> dying_;
   std::vector<ir::ValueId> input_ids_;
+  std::int64_t batch_ = 0;  ///< B: the first input's leading dimension
 
   // ---- plan-time GEMM weight packing (all regimes) ------------------------
   // Built once at construction (or adopted read-only from an ExecutorBinding)
@@ -237,6 +248,7 @@ class Executor {
   std::vector<Tensor> bound_;                     ///< per-value views into the slab
   std::vector<std::vector<const Tensor*>> args_;  ///< prebuilt kernel input lists
   std::int64_t planned_peak_ = 0;
+  std::int64_t stomped_band_bytes_ = 0;
 };
 
 /// Convenience wrapper: builds an Executor and runs once.

@@ -38,14 +38,14 @@ constexpr std::size_t kHeaderBytes = 48;
 constexpr std::size_t kTableEntryBytes = 32;
 constexpr std::uint32_t kSectionCount = 3;
 
-/// Plausibility ceiling on batch variants per artifact; far above any real
-/// micro-batcher, and it bounds the loader's work: load restamps max_batch
-/// variants of the stored graph and plans the widest one.
+/// Plausibility ceiling on an artifact's max_batch; far above any real
+/// micro-batcher, and it bounds the loader's work: load plans the stored
+/// graph restamped to max_batch.
 constexpr std::uint64_t kMaxArtifactBatch = 4096;
 
-/// Plausibility ceiling on the per-executor kernel pool width.  A session
-/// builds max_batch executors and each one starts intra_op_threads - 1
-/// threads, so a hostile stamp must not reach Session construction.
+/// Plausibility ceiling on the per-executor kernel pool width.  Each of a
+/// session's executors starts intra_op_threads - 1 threads, so a hostile
+/// stamp must not reach Session construction.
 constexpr std::uint64_t kMaxIntraOpThreads = 1024;
 
 /// Ceiling on the stamped arena budget; generous (1 TiB) but low enough
@@ -340,10 +340,10 @@ class ArtifactCodec {
           << "artifact graph input " << node.name << " is not a batch-1 template";
     }
 
-    // The artifact stores one schedule; the variants and their plan are
-    // rebuilt from it exactly as compile() builds them.
-    model->stamp_variants(std::move(base));
-    model->prepack_ = runtime::PackedWeights::view(model->variants_.front(), std::move(owner),
+    // The artifact stores one schedule; its plan is rebuilt from it exactly
+    // as compile() builds it.
+    model->adopt_schedule(std::move(base));
+    model->prepack_ = runtime::PackedWeights::view(model->graph_, std::move(owner),
                                                    weights_view.data(), weights_view.bytes());
     model->revalidate_kernel_dispatch();
     return model;

@@ -4,10 +4,9 @@
 // without re-running the compiler and what the loader cannot derive: the
 // post-pipeline batch-1 schedule, the shared packed-weight buffer, and the
 // compatibility stamps that tell a future runtime whether it may trust those
-// bytes.  Batch variants and the arena plan are functions of the schedule
-// and of this host's thread pool (fused-kernel scratch has one slot per
-// lane), so the loader rebuilds them with the code compile() runs instead of
-// reading them.  The packed-weight section is page-aligned so MappedFile can
+// bytes.  The arena plan is a function of the schedule and of this host's
+// thread pool (fused-kernel scratch has one slot per lane), so the loader
+// rebuilds it with the code compile() runs instead of reading it.  The packed-weight section is page-aligned so MappedFile can
 // hand out zero-copy views, and N processes mapping the same artifact share
 // one physical copy of the weights.
 //
@@ -34,11 +33,10 @@
 // Trust model: every length, offset, count, and enum is bounds-checked
 // before anything dereferences or allocates from it, and section checksums
 // are verified before parsing.  Nothing derivable is stored, so nothing
-// derivable can be forged: the loader restamps max_batch variants of the
-// stored graph (max_batch is capped at kMaxArtifactBatch, so load work is
-// bounded by that times the graph size), plans and validates the one arena
-// itself, and requires the weight section to be exactly as long as this
-// binary's packers lay the graph out.  Any violation throws a typed
+// derivable can be forged: the loader plans and validates the one arena
+// itself on the stored graph restamped to max_batch (capped at
+// kMaxArtifactBatch), and requires the weight section to be exactly as long
+// as this binary's packers lay the graph out.  Any violation throws a typed
 // temco::Error (InvalidGraphError for malformed or incompatible bytes);
 // hostile input never crashes the process (tests/test_artifact_hostile.cpp).
 #pragma once

@@ -29,39 +29,36 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
 
   // Normalize to the batch-1 template, then run the pipeline once.  Every
   // rewrite decision (skip thresholds, fusion legality, transform choices)
-  // is batch-independent, so optimizing at batch 1 and restamping is
-  // equivalent to optimizing each variant — minus max_batch-1 pipeline runs.
+  // is batch-independent, so the batch-1 schedule is the schedule at every
+  // batch.
   ir::Graph base = ir::rebatched(graph, 1);
   if (options.optimize) base = core::optimize(base, options.temco, &model->stats_);
   base.verify();
 
   const std::int64_t budget = options.max_arena_bytes;
   if (budget > 0) {
-    // Search the widest variant: its plan is the slab every session allocates.
+    // Search at max_batch: that plan is the slab every session allocates.
     // The budget-meeting order (remat duplicates included) de-batches back to
-    // the batch-1 template, so every restamped variant inherits the schedule.
-    ir::Graph widest = options.max_batch == 1
-                           ? base
-                           : ir::rebatched(base, static_cast<std::int64_t>(options.max_batch));
+    // the batch-1 template, which every batch runs.
     runtime::BudgetOptions budget_options;
     budget_options.max_bytes = budget;
     budget_options.arena = arena_options(options);
-    runtime::BudgetScheduleResult scheduled = runtime::schedule_for_budget(widest, budget_options);
+    runtime::BudgetScheduleResult scheduled = runtime::schedule_for_budget(
+        ir::rebatched(base, static_cast<std::int64_t>(options.max_batch)), budget_options);
     TEMCO_CHECK_AS(scheduled.met, ResourceExhaustedError)
         << "arena budget of " << budget << " B is unmeetable at batch " << options.max_batch
         << ": best achievable slab is " << scheduled.achieved_arena_bytes << " B ("
         << scheduled.remat_nodes << " rematerialized node(s), predicted slowdown "
         << scheduled.predicted_slowdown << "x)";
-    base = options.max_batch == 1 ? std::move(scheduled.graph)
-                                  : ir::rebatched(scheduled.graph, 1);
+    base = ir::rebatched(scheduled.graph, 1);
     base.verify();
   }
 
-  model->stamp_variants(std::move(base));
+  model->adopt_schedule(std::move(base));
 
-  // One packing serves all variants: it depends on weight contents and
-  // output width only, and the variants share weight tensors by handle.
-  model->prepack_ = runtime::PackedWeights::build(model->variants_.front());
+  // One packing serves every batch: it depends on weight contents and output
+  // width only, and restamped graphs share weight tensors by handle.
+  model->prepack_ = runtime::PackedWeights::build(model->graph_);
 
   // Provenance stamp: which kernel tier compiled this artifact and which
   // packed-panel layout its blobs use (revalidate_kernel_dispatch).
@@ -70,16 +67,12 @@ std::shared_ptr<const CompiledModel> CompiledModel::compile(const ir::Graph& gra
   return model;
 }
 
-void CompiledModel::stamp_variants(ir::Graph base) {
-  variants_.reserve(options_.max_batch);
-  variants_.push_back(std::move(base));
-  for (std::size_t k = 2; k <= options_.max_batch; ++k) {
-    variants_.push_back(ir::rebatched(variants_.front(), static_cast<std::int64_t>(k)));
-  }
+void CompiledModel::adopt_schedule(ir::Graph base) {
+  graph_ = std::move(base);
 
   // Liveness is the schedule's and blocks only shrink with the batch, so the
-  // widest variant's plan serves every variant (Executor::bind_arena checks).
-  const ir::Graph& widest = variants_.back();
+  // plan at max_batch holds every smaller batch in place.
+  const ir::Graph widest = ir::rebatched(graph_, static_cast<std::int64_t>(options_.max_batch));
   plan_ = runtime::plan_arena(widest, arena_options(options_));  // verifies `widest` first
   runtime::validate_arena_plan(widest, plan_);
 
@@ -92,13 +85,8 @@ void CompiledModel::stamp_variants(ir::Graph base) {
       << "validated slab of " << slab_bytes() << " B exceeds the arena budget of " << budget
       << " B";
 
-  const ir::Graph& b1 = variants_.front();
-  weight_bytes_ = b1.total_weight_bytes();
-  for (const ir::Node& node : b1.nodes()) {
+  for (const ir::Node& node : graph_.nodes()) {
     if (node.kind == ir::OpKind::kInput) input_shapes_.push_back(node.out_shape);
-  }
-  for (const ir::ValueId out : b1.outputs()) {
-    output_shapes_.push_back(b1.node(out).out_shape);
   }
 }
 

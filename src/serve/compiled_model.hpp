@@ -1,21 +1,20 @@
 // Compile-once serving artifact.
 //
 // A CompiledModel runs the whole TeMCO pipeline exactly once — decompose
-// upstream, then optimize (skip-opt, transforms, fusion, DCE), stamp one
-// execution variant per batch size, plan one static arena, and pack GEMM
-// weights — and freezes the result as an immutable artifact.  Serving
-// sessions (session.hpp) and the fleet server (fleet.hpp) share one
-// artifact read-only across any number of threads: nothing in it is ever
-// mutated after compile() returns, which is the whole thread-safety story.
+// upstream, then optimize (skip-opt, transforms, fusion, DCE), plan one
+// static arena, and pack GEMM weights — and freezes the result as an
+// immutable artifact.  Serving sessions (session.hpp) and the fleet server
+// (fleet.hpp) share one artifact read-only across any number of threads:
+// nothing in it is ever mutated after compile() returns, which is the whole
+// thread-safety story.
 //
-// Batch variants: the model is compiled from a batch-1 template; variant k
-// (1 <= k <= max_batch) is the same optimized graph with every input's batch
-// dimension restamped to k (ir::rebatched).  Weights are shared handles, and
-// GEMM weight packing depends only on weights and output width, so one
-// PackedWeights serves every variant.  Liveness depends only on the schedule
-// and tensor bytes are linear in the batch (§2.2), so every variant binds the
-// max_batch variant's arena plan — each block only shrinks in place — and one
-// session serves any batch size from a single slab of `slab_bytes()`.
+// Batches: the model is compiled and kept as one batch-1 graph.  A session
+// restamps it to max_batch (ir::rebatched) and runs any batch k <= max_batch
+// on it (runtime::Executor takes k from its inputs).  Liveness depends only
+// on the schedule and tensor bytes are linear in the batch (§2.2), so the
+// one arena plan, packed at max_batch, holds every k from a single slab of
+// `slab_bytes()`.  GEMM weight packing depends only on weights and output
+// width, so one PackedWeights serves every k too.
 #pragma once
 
 #include <cstdint>
@@ -36,13 +35,13 @@ struct CompileOptions {
   core::TemcoOptions temco;
 
   /// Run the TeMCO optimization pipeline.  Off compiles the graph as-is
-  /// (still planned, packed, and batch-stamped) — the "no compiler" baseline
-  /// the serving benchmark compares against.
+  /// (still planned and packed) — the "no compiler" baseline the serving
+  /// benchmark compares against.
   bool optimize = true;
 
   /// Largest batch any session of this model can execute — the ceiling the
-  /// server's micro-batcher coalesces up to.  One variant is stamped per
-  /// batch size in [1, max_batch].
+  /// server's micro-batcher coalesces up to, and the batch the arena plan is
+  /// packed at.
   std::size_t max_batch = 8;
 
   /// Guardrails baked into every session executor (see ExecutorOptions).
@@ -56,9 +55,9 @@ struct CompileOptions {
   std::size_t intra_op_threads = 0;
 
   /// Hard cap on slab_bytes() — the per-session arena a tenant pays for.
-  /// When > 0, compile() runs runtime::schedule_for_budget on the max_batch
-  /// variant (the one that sizes the slab) and bakes the budget-meeting
-  /// schedule into every variant; an unmeetable budget raises
+  /// When > 0, compile() runs runtime::schedule_for_budget on the graph at
+  /// max_batch (the batch that sizes the slab) and bakes the budget-meeting
+  /// schedule into the model; an unmeetable budget raises
   /// ResourceExhaustedError naming the best achievable slab.  The pipeline
   /// itself has no budget knob; this is the one.  Artifacts stamp the value;
   /// outputs stay bitwise-identical to the unconstrained schedule.
@@ -87,32 +86,31 @@ class CompiledModel {
   /// the mapping); every length, offset, count, and enum in the file is
   /// bounds-checked and every stamp re-validated before anything is trusted —
   /// malformed or incompatible input throws a typed temco::Error, never
-  /// crashes.  Batch variants and the arena plan are rebuilt from the
-  /// schedule by the same code compile() runs, so the result is
-  /// interchangeable with compile()'s.
+  /// crashes.  The arena plan is rebuilt from the schedule by the same code
+  /// compile() runs, so the result is interchangeable with compile()'s.
   static std::shared_ptr<const CompiledModel> load(const std::string& path);
 
   std::size_t max_batch() const { return options_.max_batch; }
   const CompileOptions& options() const { return options_; }
   const core::OptimizeStats& stats() const { return stats_; }
 
-  /// The optimized graph stamped for `batch` in [1, max_batch].
+  /// The optimized batch-1 graph; `batch` must be 1.
   const ir::Graph& graph(std::size_t batch) const {
-    TEMCO_CHECK(batch >= 1 && batch <= variants_.size())
-        << "batch " << batch << " outside compiled range [1, " << variants_.size() << "]";
-    return variants_[batch - 1];
+    TEMCO_CHECK(batch == 1) << "the compiled graph is kept at batch 1, not " << batch;
+    return graph_;
   }
 
-  /// The pre-validated arena plan of the max_batch variant; every variant binds it.
+  /// The pre-validated arena plan of the graph at max_batch; it holds every
+  /// batch up to max_batch.
   const runtime::ArenaPlan& plan() const { return plan_; }
 
-  /// Shared GEMM weight packing, valid for every batch variant.
+  /// Shared GEMM weight packing, valid at every batch.
   const runtime::PackedWeights& prepack() const { return prepack_; }
 
-  /// The slab every variant runs in: the plan's arena size.
+  /// The slab a session runs every batch in: the plan's arena size.
   std::int64_t slab_bytes() const { return plan_.arena_bytes; }
   std::int64_t packed_weight_bytes() const { return prepack_.bytes; }
-  std::int64_t weight_bytes() const { return weight_bytes_; }
+  std::int64_t weight_bytes() const { return graph_.total_weight_bytes(); }
 
   // ---- kernel-dispatch provenance stamp ------------------------------------
 
@@ -138,8 +136,10 @@ class CompiledModel {
 
   std::size_t num_inputs() const { return input_shapes_.size(); }
   const Shape& input_shape(std::size_t i) const { return input_shapes_[i]; }
-  std::size_t num_outputs() const { return output_shapes_.size(); }
-  const Shape& output_shape(std::size_t o) const { return output_shapes_[o]; }
+  std::size_t num_outputs() const { return graph_.outputs().size(); }
+  const Shape& output_shape(std::size_t o) const {
+    return graph_.node(graph_.outputs()[o]).out_shape;
+  }
 
   /// The micro-batcher's compatibility predicate: a request is batchable iff
   /// it carries exactly one defined tensor per model input with the batch-1
@@ -156,22 +156,18 @@ class CompiledModel {
   CompiledModel() = default;
 
   /// Everything after the schedule is fixed, shared by compile() and load():
-  /// stamps variant k = `base` restamped to batch k for k in [1, max_batch],
-  /// plans and validates the max_batch variant's arena once (capped by
-  /// options_.max_arena_bytes), and records weight bytes and the request
-  /// signature.
-  void stamp_variants(ir::Graph base);
+  /// keeps the batch-1 `base`, plans and validates its arena at max_batch
+  /// (capped by options_.max_arena_bytes), and records the input shapes.
+  void adopt_schedule(ir::Graph base);
 
   CompileOptions options_;
   core::OptimizeStats stats_;
-  std::vector<ir::Graph> variants_;  ///< [k-1] holds the batch-k graph
-  runtime::ArenaPlan plan_;          ///< packed for variants_.back()
+  ir::Graph graph_;          ///< the batch-1 schedule
+  runtime::ArenaPlan plan_;  ///< packed for graph_ at max_batch
   runtime::PackedWeights prepack_;
-  std::int64_t weight_bytes_ = 0;
   support::Isa kernel_isa_ = support::Isa::kScalar;
   std::uint32_t pack_layout_version_ = 0;
-  std::vector<Shape> input_shapes_;   ///< batch-1 input templates, in input order
-  std::vector<Shape> output_shapes_;  ///< batch-1 output templates, in output order
+  std::vector<Shape> input_shapes_;  ///< batch-1 input templates, in input order
 };
 
 }  // namespace temco::serve

@@ -757,7 +757,8 @@ void FleetServer::execute_batch(Model& model, SessionPool::Lease lease,
 
       if (fault == FaultClass::kCorrupting) {
         // Terminal for the session too: its memory is suspect.  The pool
-        // scrubs, audits, and replaces it; this lease is consumed.
+        // counts the stomped bytes, scrubs, and replaces it; this lease is
+        // consumed.
         met.quarantined.fetch_add(1, std::memory_order_relaxed);
         model.pool->quarantine(std::move(lease));
         met.arena_resident_bytes.store(model.pool->resident_bytes(), std::memory_order_relaxed);

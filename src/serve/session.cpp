@@ -23,7 +23,9 @@ failpoints::Site fp_wedge_batch{"serve.wedge_batch"};
 }  // namespace
 
 Session::Session(std::shared_ptr<const CompiledModel> model)
-    : model_(std::move(model)), slab_(nullptr, [](float* p) { std::free(p); }) {
+    : model_(std::move(model)),
+      graph_(ir::rebatched(model_->graph(1), static_cast<std::int64_t>(model_->max_batch()))),
+      slab_(nullptr, [](float* p) { std::free(p); }) {
   // Fail fast if this runtime cannot read the artifact's packed weights
   // (layout version); merely different ISA dispatch is logged, not fatal.
   model_->revalidate_kernel_dispatch();
@@ -38,7 +40,7 @@ Session::Session(std::shared_ptr<const CompiledModel> model)
               static_cast<std::size_t>(bytes));
   slab_.reset(raw);
 
-  // Every executor binds the same slab, the model's one plan and its packing.
+  // Both executors bind the same slab, the model's one plan and its packing.
   runtime::ExecutorBinding binding;
   binding.prepack = &model_->prepack();
   binding.plan = &model_->plan();
@@ -50,43 +52,32 @@ Session::Session(std::shared_ptr<const CompiledModel> model)
   exec_options.arena_canaries = model_->options().arena_canaries;
   exec_options.intra_op_threads = model_->options().intra_op_threads;
   exec_options.cancel = &token_;
-  const std::size_t max_batch = model_->max_batch();
-  executors_.reserve(max_batch);
-  for (std::size_t k = 1; k <= max_batch; ++k) {
-    executors_.push_back(
-        std::make_unique<runtime::Executor>(model_->graph(k), exec_options, binding));
-  }
+  executor_ = std::make_unique<runtime::Executor>(graph_, exec_options, binding);
 
-  // The circuit breaker's isolation variant: batch 1, kernels pinned serial,
-  // numeric checks forced on regardless of compile options.  Same slab and
-  // plan as the normal executors, so it costs no extra memory.
+  // The circuit breaker's isolation executor: kernels pinned serial, numeric
+  // checks forced on regardless of compile options.  Same slab and plan as
+  // the normal executor, so it costs no extra memory.
   exec_options.check_numerics = true;
   exec_options.intra_op_threads = 1;
-  degraded_executor_ =
-      std::make_unique<runtime::Executor>(model_->graph(1), exec_options, binding);
+  degraded_executor_ = std::make_unique<runtime::Executor>(graph_, exec_options, binding);
 
-  // Max-batch staging storage, with one prebuilt batch-k view per variant.
-  // The batch dimension is outermost, so "the first k rows" is a prefix of
-  // the same contiguous buffer — a view costs a handle, not a copy.
+  // Max-batch staging storage, with one prebuilt view per batch k.  The
+  // batch dimension is outermost, so "the first k rows" is a prefix of the
+  // same contiguous buffer — a view costs a handle, not a copy.
+  const std::size_t max_batch = model_->max_batch();
+  auto stage = [max_batch](const Shape& row, std::vector<std::vector<Tensor>>& views) {
+    Buffer storage = allocate_buffer(row.numel() * static_cast<std::int64_t>(max_batch));
+    for (std::size_t k = 1; k <= max_batch; ++k) {
+      views[k - 1].emplace_back(row.with_dim(0, static_cast<std::int64_t>(k)), storage);
+    }
+  };
   views_in_.resize(max_batch);
   views_out_.resize(max_batch);
   for (std::size_t i = 0; i < model_->num_inputs(); ++i) {
-    const Shape full = model_->input_shape(i).with_dim(0, static_cast<std::int64_t>(max_batch));
-    Buffer storage = allocate_buffer(full.numel());
-    staging_in_.emplace_back(full, storage);
-    for (std::size_t k = 1; k <= max_batch; ++k) {
-      views_in_[k - 1].emplace_back(
-          model_->input_shape(i).with_dim(0, static_cast<std::int64_t>(k)), storage);
-    }
+    stage(model_->input_shape(i), views_in_);
   }
   for (std::size_t o = 0; o < model_->num_outputs(); ++o) {
-    const Shape full = model_->output_shape(o).with_dim(0, static_cast<std::int64_t>(max_batch));
-    Buffer storage = allocate_buffer(full.numel());
-    staging_out_.emplace_back(full, storage);
-    for (std::size_t k = 1; k <= max_batch; ++k) {
-      views_out_[k - 1].emplace_back(
-          model_->output_shape(o).with_dim(0, static_cast<std::int64_t>(k)), storage);
-    }
+    stage(model_->output_shape(o), views_out_);
   }
 }
 
@@ -117,28 +108,29 @@ std::vector<std::vector<Tensor>> Session::run_batch(
   }
 
   // Gather: request r's input i becomes row r of staging input i.
-  for (std::size_t i = 0; i < staging_in_.size(); ++i) {
+  std::vector<Tensor>& staging_in = views_in_[k - 1];
+  std::vector<Tensor>& staging_out = views_out_[k - 1];
+  for (std::size_t i = 0; i < staging_in.size(); ++i) {
     const std::int64_t row = model_->input_shape(i).numel();
-    float* base = staging_in_[i].data();
+    float* base = staging_in[i].data();
     for (std::size_t r = 0; r < k; ++r) {
       std::memcpy(base + static_cast<std::int64_t>(r) * row, (*requests[r])[i].data(),
                   static_cast<std::size_t>(row) * sizeof(float));
     }
   }
 
-  runtime::Executor& executor =
-      mode == RunMode::kDegraded ? *degraded_executor_ : *executors_[k - 1];
-  executor.run_into(views_in_[k - 1], views_out_[k - 1]);
+  runtime::Executor& executor = mode == RunMode::kDegraded ? *degraded_executor_ : *executor_;
+  executor.run_into(staging_in, staging_out);
 
   // Split: row r of each staging output becomes request r's response tensor.
   // Responses are fresh heap tensors — they outlive the session checkout.
   std::vector<std::vector<Tensor>> responses(k);
   for (std::size_t r = 0; r < k; ++r) {
-    responses[r].reserve(staging_out_.size());
-    for (std::size_t o = 0; o < staging_out_.size(); ++o) {
+    responses[r].reserve(staging_out.size());
+    for (std::size_t o = 0; o < staging_out.size(); ++o) {
       const std::int64_t row = model_->output_shape(o).numel();
       Tensor out = Tensor::zeros(model_->output_shape(o));
-      std::memcpy(out.data(), staging_out_[o].data() + static_cast<std::int64_t>(r) * row,
+      std::memcpy(out.data(), staging_out[o].data() + static_cast<std::int64_t>(r) * row,
                   static_cast<std::size_t>(row) * sizeof(float));
       responses[r].push_back(std::move(out));
     }
@@ -151,27 +143,14 @@ std::vector<Tensor> Session::run(const std::vector<Tensor>& inputs) {
 }
 
 std::int64_t Session::quarantine_scrub() {
-  unsigned char* bytes = reinterpret_cast<unsigned char*>(slab_.get());
-  std::int64_t corrupt = 0;
-  // Audit every variant's guard bands before scrubbing.  Each variant's band
-  // sits after its own payload in the one plan's block, so a band of one
-  // variant may legitimately hold a wider variant's payload bytes — the
-  // count is a blast-radius *diagnostic*, upper-bounding what a rogue write
-  // could have touched, not an exact tally.
-  const runtime::ArenaPlan& plan = model_->plan();
-  for (std::size_t k = 1; plan.canary_bytes > 0 && k <= model_->max_batch(); ++k) {
-    for (const ir::Node& node : model_->graph(k).nodes()) {
-      const unsigned char* band = bytes + plan.band_offset(node);
-      for (std::int64_t b = 0; b < plan.canary_bytes; ++b) {
-        if (band[b] != runtime::kArenaPoisonByte) ++corrupt;
-      }
-    }
-  }
+  const std::int64_t stomped =
+      executor_->stomped_band_bytes() + degraded_executor_->stomped_band_bytes();
   // Poison-scrub: whatever the fault left behind, the next reader of these
   // bytes (there should be none — the session is about to be destroyed)
   // sees NaN patterns, never plausible stale activations.
-  std::memset(bytes, runtime::kArenaPoisonByte, static_cast<std::size_t>(model_->slab_bytes()));
-  return corrupt;
+  std::memset(slab_.get(), runtime::kArenaPoisonByte,
+              static_cast<std::size_t>(model_->slab_bytes()));
+  return stomped;
 }
 
 SessionPool::SessionPool(std::shared_ptr<const CompiledModel> model, std::size_t size)
@@ -236,8 +215,7 @@ void SessionPool::quarantine(Lease&& lease) {
 
   const std::int64_t corrupt = victim->quarantine_scrub();
   if (corrupt > 0) {
-    TEMCO_WARN() << "quarantined session had " << corrupt
-                 << " corrupted guard-band bytes (blast-radius upper bound)";
+    TEMCO_WARN() << "quarantined session had " << corrupt << " corrupted guard-band bytes";
   }
 
   // Build the replacement before touching pool structures: construction is

@@ -1,14 +1,15 @@
 // Arena serving sessions and the session pool.
 //
 // A Session is the mutable half of the serving runtime: one preallocated
-// arena slab plus one bound arena executor per batch variant of a shared
-// CompiledModel, all on the model's one arena plan.  Everything a run needs
-// — the slab, the staging tensors batched requests are gathered into, the
-// executors' bound views — is allocated at construction, so the steady-state
-// path performs zero heap allocations and zero re-planning: check out a
-// session, gather, run, split.
+// arena slab plus two arena executors — the normal one and the degraded
+// one — over a shared CompiledModel's graph restamped to max_batch, both on
+// the model's one arena plan.  Each run takes its batch k from the requests.
+// Everything a run needs — the slab, the staging tensors batched requests
+// are gathered into, the executors' bound views — is allocated at
+// construction, so the steady-state path performs zero heap allocations and
+// zero re-planning: check out a session, gather, run, split.
 //
-// Sessions are NOT thread-safe (the batch variants deliberately share one
+// Sessions are NOT thread-safe (the two executors deliberately share one
 // slab); the SessionPool provides the checkout protocol that keeps each
 // session owned by at most one thread at a time.  Checkout is a Lease — an
 // RAII handle that returns the session on destruction — so a session can
@@ -18,9 +19,9 @@
 // executors, so the serving layer can deadline or abandon an in-flight run
 // at the next node/wave boundary.  When a run ends in a corrupting fault
 // (NumericError, MemoryCorruptionError) the pool's quarantine path retires
-// the session — slab poison-scrubbed and canary-audited for a blast-radius
-// diagnostic — and replaces it with a freshly constructed one rather than
-// ever re-leasing possibly-corrupt memory.
+// the session — stomped guard-band bytes counted, slab poison-scrubbed —
+// and replaces it with a freshly constructed one rather than ever
+// re-leasing possibly-corrupt memory.
 #pragma once
 
 #include <condition_variable>
@@ -37,16 +38,17 @@
 namespace temco::serve {
 
 /// How a batch should execute.  kDegraded is the circuit breaker's isolation
-/// regime: the batch-1 variant with kernels pinned serial and numeric checks
-/// forced on — slower, but each request fails alone and a fault is caught at
-/// the node that produced it.
+/// regime: singleton batches on an executor with kernels pinned serial and
+/// numeric checks forced on — slower, but each request fails alone and a
+/// fault is caught at the node that produced it.
 enum class RunMode { kNormal, kDegraded };
 
 class Session {
  public:
   /// Allocates the slab (poison-filled when the model compiled with
-  /// arena_canaries, zeroed otherwise) and binds one arena executor per
-  /// batch variant to it and the one plan.  All expensive work is done here.
+  /// arena_canaries, zeroed otherwise), restamps the model's graph to
+  /// max_batch, and binds the normal and the degraded executor to it, the
+  /// slab and the one plan.  All expensive work is done here.
   explicit Session(std::shared_ptr<const CompiledModel> model);
 
   Session(const Session&) = delete;
@@ -63,14 +65,14 @@ class Session {
   support::CancelToken& cancel_token() { return token_; }
 
   /// Executes one micro-batch: gathers each request's inputs into the
-  /// batch-k staging rows, runs the batch-k variant once, and splits the
+  /// first k staging rows, runs the executor once at batch k, and splits the
   /// batched outputs back into one freshly allocated per-request tensor
   /// list.  `requests` must be non-empty, at most max_batch long, and every
   /// request must satisfy the model's compatibility predicate.  Outputs are
   /// bit-identical to running each request alone at batch 1 — kernels fix
   /// per-element accumulation order by geometry, independent of batch count
   /// (asserted across the zoo in tests/test_batched.cpp).  kDegraded
-  /// requires a singleton batch and runs the hardened batch-1 executor.
+  /// requires a singleton batch and runs the hardened executor.
   std::vector<std::vector<Tensor>> run_batch(
       const std::vector<const std::vector<Tensor>*>& requests,
       RunMode mode = RunMode::kNormal);
@@ -78,29 +80,26 @@ class Session {
   /// Single-request sugar: run_batch of one, unwrapped.
   std::vector<Tensor> run(const std::vector<Tensor>& inputs);
 
-  /// Quarantine hygiene: audits every batch variant's guard bands for bytes
-  /// that no longer hold the canary pattern (a blast-radius estimate of what
-  /// a corrupting fault touched; 0 when the model compiled without
-  /// canaries), then poison-fills the whole slab so stale data can never be
-  /// read as valid.  Called by SessionPool::quarantine before the session
-  /// is destroyed; harmless to call on a healthy session.
+  /// Quarantine hygiene: returns the guard-band bytes the executors' latest
+  /// runs stomped (Executor::stomped_band_bytes), then poison-fills the whole
+  /// slab so stale data can never be read as valid.  Called by
+  /// SessionPool::quarantine before the session is destroyed; harmless to
+  /// call on a healthy session.
   std::int64_t quarantine_scrub();
 
  private:
   std::shared_ptr<const CompiledModel> model_;
-  /// Declared before the executors that hold its address: they die first.
+  /// Declared before the executors that hold their addresses: they die first.
+  ir::Graph graph_;
   support::CancelToken token_;
   std::unique_ptr<float, void (*)(float*)> slab_;
-  /// executors_[k-1] runs the batch-k variant; all bind the one slab_.
-  std::vector<std::unique_ptr<runtime::Executor>> executors_;
-  /// Hardened batch-1 variant for RunMode::kDegraded (serial kernels,
-  /// check_numerics on); binds the same slab as the normal executors.
+  std::unique_ptr<runtime::Executor> executor_;
+  /// Hardened executor for RunMode::kDegraded (serial kernels,
+  /// check_numerics on); binds the same slab as executor_.
   std::unique_ptr<runtime::Executor> degraded_executor_;
-  /// Max-batch staging storage; the batch-k views below alias its rows.
-  std::vector<Tensor> staging_in_;
-  std::vector<Tensor> staging_out_;
-  /// views_in_[k-1][i]: the first k rows of staging_in_[i], shaped for batch
-  /// k — prebuilt so steady-state runs allocate nothing but response tensors.
+  /// views_in_[k-1][i]: the first k rows of input i's max-batch staging
+  /// buffer, shaped for batch k — prebuilt so steady-state runs allocate
+  /// nothing but response tensors.
   std::vector<std::vector<Tensor>> views_in_;
   std::vector<std::vector<Tensor>> views_out_;
 };
@@ -115,7 +114,7 @@ class SessionPool {
     std::uint64_t quarantined = 0;        ///< sessions retired after corrupting faults
     std::uint64_t replaced = 0;           ///< successfully rebuilt replacements
     std::uint64_t replace_failures = 0;   ///< replacement construction threw; pool shrank
-    std::int64_t corrupt_band_bytes = 0;  ///< guard-band bytes found stomped at scrub time
+    std::int64_t corrupt_band_bytes = 0;  ///< guard-band bytes the faulting runs stomped
   };
 
   SessionPool(std::shared_ptr<const CompiledModel> model, std::size_t size);
@@ -174,8 +173,8 @@ class SessionPool {
 
   Stats stats() const;
 
-  /// Retires the leased session after a corrupting fault: the slab is
-  /// poison-scrubbed and canary-audited (Session::quarantine_scrub), the
+  /// Retires the leased session after a corrupting fault: its stomped bytes
+  /// counted and its slab poison-scrubbed (Session::quarantine_scrub), the
   /// session destroyed, and a freshly constructed replacement takes its
   /// place in the pool — corrupt memory is never re-leased.  The Lease is
   /// consumed; it must be live and must belong to this pool.  Replacement

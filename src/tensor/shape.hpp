@@ -44,11 +44,16 @@ class Shape {
   /// Size in bytes for float32 storage.
   std::int64_t bytes() const { return numel() * static_cast<std::int64_t>(sizeof(float)); }
 
+  /// Replaces `axis` with `value` in place.
+  void set_dim(std::size_t axis, std::int64_t value) {
+    TEMCO_CHECK(axis < dims_.size() && value >= 0);
+    dims_[axis] = value;
+  }
+
   /// Returns a copy with `axis` replaced by `value`.
   Shape with_dim(std::size_t axis, std::int64_t value) const {
-    TEMCO_CHECK(axis < dims_.size());
     Shape copy = *this;
-    copy.dims_[axis] = value;
+    copy.set_dim(axis, value);
     return copy;
   }
 

@@ -116,6 +116,10 @@ class Tensor {
     return Tensor(shape, data_);
   }
 
+  /// Re-views the same storage with `rows` in dimension 0, in place (no
+  /// allocation).  The storage must hold the new element count.
+  void set_rows(std::int64_t rows) { shape_.set_dim(0, rows); }
+
   void fill(float value) {
     for (auto& x : span()) x = value;
   }

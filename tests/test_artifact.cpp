@@ -1,6 +1,6 @@
 // Artifact round-trip differential battery: load(save(compile(m))) must be
-// indistinguishable from compile(m) — bitwise-identical outputs for every
-// batch variant on both execution paths, field-identical plans and
+// indistinguishable from compile(m) — bitwise-identical outputs at every
+// batch on both execution paths, field-identical plans and
 // byte-identical packed blobs — across the model zoo in original,
 // decomposed, and TeMCO-optimized form.  Plus the version-skew contract: the
 // checked-in golden artifact keeps loading, and a synthetically
@@ -129,8 +129,8 @@ void expect_packed_equal(const CompiledModel& a, const CompiledModel& b,
   }
 }
 
-/// The full differential: metadata, plans, packed blobs, and — for every
-/// batch variant — bitwise-identical outputs on both the arena (Session) and
+/// The full differential: metadata, plans, packed blobs, and — at every
+/// batch — bitwise-identical outputs on both the arena (Session) and
 /// reference (heap executor) paths.
 void check_round_trip(const std::string& name, Variant variant) {
   const std::string label = name + "/" + variant_name(variant);
@@ -152,7 +152,7 @@ void check_round_trip(const std::string& name, Variant variant) {
   expect_plans_equal(*compiled, *loaded, label);
   expect_packed_equal(*compiled, *loaded, label);
 
-  // Arena path: one session per model, every batch variant, same requests.
+  // Arena path: one session per model, every batch, same requests.
   Rng rng(7 + static_cast<std::uint64_t>(variant));
   Session session_c(compiled);
   Session session_l(loaded);

@@ -32,7 +32,7 @@ constexpr std::size_t kTableEntryBytes = 32;
 constexpr std::size_t kSectionCount = 3;
 
 /// One artifact with every section populated: optimized resnet34 has fused
-/// kernels (scratch region), packed blobs, and two batch variants.
+/// kernels (scratch region), packed blobs, and a max_batch of two.
 const std::string& sample_artifact() {
   static const std::string bytes = [] {
     models::ModelConfig config;
@@ -327,8 +327,8 @@ TEST(HostileArtifactTest, OversizedMaxBatchRejected) {
 }
 
 TEST(HostileArtifactTest, OversizedIntraOpThreadsRejected) {
-  // A session starts max_batch * (intra_op_threads - 1) threads, so the
-  // stamp is bounded at load, before any Session exists.
+  // Each of a session's executors starts intra_op_threads - 1 threads, so
+  // the stamp is bounded at load, before any Session exists.
   std::string bytes = sample_artifact();
   const TableEntry meta = find_section(bytes, serve::ArtifactSection::kMeta);
   // intra_op_threads is the u64 after max_batch.
@@ -338,7 +338,7 @@ TEST(HostileArtifactTest, OversizedIntraOpThreadsRejected) {
 }
 
 TEST(HostileArtifactTest, ArenaBudgetBelowDerivedSlabRejected) {
-  // The artifact ships no plans: the loader re-plans every variant and holds
+  // The artifact ships no plans: the loader re-plans the arena and holds
   // the slab to the stamped budget, so a budget the stored schedule cannot
   // meet fails at load, before any session sizes a slab by it.
   std::string bytes = sample_artifact();

@@ -9,9 +9,10 @@
 // outermost everywhere, and the GEMM engine decomposes each batch item
 // identically whether it runs alone or as row b of a batch).  This harness
 // proves the property across the model zoo on original, decomposed, and
-// TeMCO-optimized graphs, for both executor regimes — and proves the other
-// pillar of the compile-once artifact: one PackedWeights built from the
-// batch-1 variant drives every batch variant to bit-identical outputs.
+// TeMCO-optimized graphs, for both executor regimes, and that one executor
+// runs any k up to its graph's batch to the bytes of a batch-k executor.  It
+// also proves the other pillar of the compile-once artifact: one
+// PackedWeights built at batch 1 drives every batch to bit-identical outputs.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -21,6 +22,7 @@
 #include "ir/graph.hpp"
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
+#include "support/align.hpp"
 #include "support/rng.hpp"
 #include "tensor/compare.hpp"
 
@@ -64,7 +66,20 @@ void expect_row_equal(const Tensor& batched, std::size_t r, const Tensor& single
   }
 }
 
-/// batched(x₁…xₖ) vs concat(run(x₁)…run(xₖ)), bit for bit, one graph.
+/// The first k requests of `singles`, stacked input by input.
+std::vector<Tensor> stack_requests(const std::vector<std::vector<Tensor>>& singles,
+                                   std::size_t k) {
+  std::vector<Tensor> stacked;
+  for (std::size_t i = 0; i < singles.front().size(); ++i) {
+    std::vector<Tensor> column;
+    for (std::size_t r = 0; r < k; ++r) column.push_back(singles[r][i]);
+    stacked.push_back(stack_rows(column));
+  }
+  return stacked;
+}
+
+/// batched(x₁…xₖ) vs concat(run(x₁)…run(xₖ)), bit for bit, one graph; then
+/// the batch-3 executor run on k = 1, 2, 3 rows vs a batch-k executor.
 void check_batched_equals_concat(const Graph& b1, const std::string& label, bool use_arena) {
   constexpr std::size_t kBatch = 3;  // deliberately not a power of two
   const Graph bk = ir::rebatched(b1, kBatch);
@@ -77,12 +92,6 @@ void check_batched_equals_concat(const Graph& b1, const std::string& label, bool
       singles[r].push_back(Tensor::random_normal(node.out_shape, rng));
     }
   }
-  std::vector<Tensor> batched_inputs;
-  for (std::size_t i = 0; i < singles.front().size(); ++i) {
-    std::vector<Tensor> column;
-    for (std::size_t r = 0; r < kBatch; ++r) column.push_back(singles[r][i]);
-    batched_inputs.push_back(stack_rows(column));
-  }
 
   runtime::ExecutorOptions options;
   options.use_arena = use_arena;
@@ -91,13 +100,43 @@ void check_batched_equals_concat(const Graph& b1, const std::string& label, bool
 
   std::vector<runtime::ExecutionResult> single_results;
   for (std::size_t r = 0; r < kBatch; ++r) single_results.push_back(single_exec.run(singles[r]));
-  const auto batch_result = batch_exec.run(batched_inputs);
+  const auto batch_result = batch_exec.run(stack_requests(singles, kBatch));
 
   ASSERT_EQ(batch_result.outputs.size(), single_results.front().outputs.size()) << label;
   for (std::size_t o = 0; o < batch_result.outputs.size(); ++o) {
     for (std::size_t r = 0; r < kBatch; ++r) {
       expect_row_equal(batch_result.outputs[o], r, single_results[r].outputs[o],
                        label + "/output " + std::to_string(o));
+    }
+  }
+
+  // One executor runs every k up to its batch: after the full run, k = 1
+  // narrows its views and k = 2, 3 widen them again.  Each output is the
+  // first k rows of a sentinel-filled batch-3 buffer, and the rows past k
+  // must come back untouched.
+  constexpr float kSentinel = 12345.0f;
+  for (std::size_t k = 1; k <= kBatch; ++k) {
+    const auto rows = static_cast<std::int64_t>(k);
+    const std::vector<Tensor> inputs = stack_requests(singles, k);
+    std::vector<Tensor> whole;
+    std::vector<Tensor> got;
+    for (const ir::ValueId out : bk.outputs()) {
+      const Shape& shape = bk.node(out).out_shape;
+      const Buffer storage = allocate_buffer(shape.numel());
+      whole.emplace_back(shape, storage);
+      whole.back().fill(kSentinel);
+      got.emplace_back(shape.with_dim(0, rows), storage);
+    }
+    batch_exec.run_into(inputs, got);
+    const Graph graph_k = ir::rebatched(b1, rows);
+    const auto want = runtime::Executor(graph_k, options).run(inputs);
+    ASSERT_EQ(got.size(), want.outputs.size()) << label;
+    for (std::size_t o = 0; o < got.size(); ++o) {
+      ASSERT_TRUE(bitwise_equal(got[o], want.outputs[o]))
+          << label << ": k=" << k << " output " << o << " differs from the batch-k executor's";
+      for (std::int64_t i = got[o].numel(); i < whole[o].numel(); ++i) {
+        ASSERT_EQ(whole[o][i], kSentinel) << label << ": k=" << k << " wrote past row k";
+      }
     }
   }
 }

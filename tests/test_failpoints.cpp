@@ -369,6 +369,17 @@ TEST(ArenaCanaryTest, SeededOutOfSlotWriteDetectedAtFreeTime) {
   }
 }
 
+TEST(ArenaCanaryTest, NarrowRunOverflowIsCaught) {
+  // A batch-4 executor running one row checks the guard band right after
+  // that row's payload, not after the four rows the block was planned for.
+  const auto b1 = tiny_decomposed("vgg11");
+  const auto b4 = ir::rebatched(b1, 4);
+  runtime::Executor executor(b4, {.use_arena = true, .arena_canaries = true});
+  failpoints::ScopedArm arm("executor.oob_write", 1);
+  EXPECT_THROW(executor.run({input_for(b1)}), MemoryCorruptionError);
+  EXPECT_EQ(executor.stomped_band_bytes(), 1) << "the failpoint stomps exactly one byte";
+}
+
 TEST(ArenaCanaryTest, CanariesDoNotChangeResults) {
   const auto graph = tiny_decomposed("resnet18");
   const Tensor x = input_for(graph);

@@ -64,7 +64,7 @@ std::shared_ptr<const CompiledModel> compile_zoo_model(const std::string& name,
 
 /// One hardened artifact shared by every test in this file: numeric checks
 /// and canaries on, so injected poison surfaces as NumericError at the
-/// faulting node and quarantine has guard bands to audit.
+/// faulting node and an out-of-slot write as MemoryCorruptionError.
 std::shared_ptr<const CompiledModel> tolerant_model() {
   static std::shared_ptr<const CompiledModel> model = [] {
     CompileOptions options;
@@ -300,9 +300,9 @@ TEST_F(QuarantineTest, CorruptingFaultRetiresTheSessionAndThePoolReplacesIt) {
 TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
   auto model = tolerant_model();
   ASSERT_GE(model->max_batch(), 2u);
-  // Every variant binds the one max-batch plan, and each variant's bands sit
-  // after its own payloads: the narrowest and the widest batch must both
-  // detect the stomp and count it at scrub time.
+  // The session's executor checks each band right after the payload of the
+  // batch it runs: the narrowest and the widest batch must both detect the
+  // stomp and count exactly its one byte.
   for (const std::size_t batch : {std::size_t{1}, model->max_batch()}) {
     SCOPED_TRACE("batch " + std::to_string(batch));
     SessionPool pool(model, 1);
@@ -322,9 +322,28 @@ TEST_F(QuarantineTest, ScrubCountsStompedGuardBands) {
     const auto stats = pool.stats();
     EXPECT_EQ(stats.quarantined, 1u);
     EXPECT_EQ(stats.replaced, 1u);
-    EXPECT_GT(stats.corrupt_band_bytes, 0) << "the audit must see the stomped canary byte";
+    EXPECT_EQ(stats.corrupt_band_bytes, 1) << "the failpoint stomps exactly one byte";
     EXPECT_EQ(pool.available(), 1u);
   }
+}
+
+TEST_F(QuarantineTest, NumericFaultStompsNoGuardBand) {
+  // A NumericError quarantines the session too, but no kernel wrote outside
+  // its slot: nothing is counted and nothing is reported as corrupted.
+  auto model = tolerant_model();
+  SessionPool pool(model, 1);
+  SessionPool::Lease lease = pool.acquire();
+  Rng rng(11);
+  const auto inputs = random_request(*model, rng);
+  EXPECT_NO_THROW(lease->run(inputs));  // a clean run first leaves bands behind
+  failpoints::arm("kernels.poison_nan", 1);
+  EXPECT_THROW(lease->run(inputs), NumericError);
+  ::testing::internal::CaptureStderr();
+  pool.quarantine(std::move(lease));
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(pool.stats().quarantined, 1u);
+  EXPECT_EQ(pool.stats().corrupt_band_bytes, 0);
+  EXPECT_EQ(log.find("corrupted guard-band bytes"), std::string::npos) << log;
 }
 
 // ---- circuit breaker -------------------------------------------------------

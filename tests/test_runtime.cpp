@@ -5,6 +5,9 @@
 // accounting is *measured*, not assumed.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
 #include "ir/graph.hpp"
 #include "models/zoo.hpp"
 #include "runtime/executor.hpp"
@@ -213,6 +216,48 @@ TEST(RunIntoTest, RejectsCountShapeAndUndefinedViolations) {
 
   std::vector<Tensor> undefined{Tensor::zeros(Shape{1, 4, 8, 8}), Tensor()};
   EXPECT_THROW(executor.run_into({input}, undefined), InvalidGraphError);
+}
+
+/// Two-input batch-4 graph for the batch rules.
+ir::Graph two_input_graph() {
+  ir::Graph g;
+  const auto x = g.input(Shape{4, 4, 8, 8}, "x");
+  const auto y = g.input(Shape{4, 4, 8, 8}, "y");
+  g.set_outputs({g.add({x, y}, "sum")});
+  g.infer_shapes();
+  g.verify();
+  return g;
+}
+
+/// Runs `run` expecting a ShapeError whose message contains `needle`.
+void expect_shape_error_naming(const std::function<void()>& run, const std::string& needle) {
+  try {
+    run();
+    ADD_FAILURE() << "no ShapeError; expected one naming " << needle;
+  } catch (const ShapeError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos) << e.what();
+  }
+}
+
+TEST(RunIntoTest, RunsEveryBatchUpToTheGraphBatchAndRejectsTheRest) {
+  const auto g = two_input_graph();
+  for (const bool use_arena : {false, true}) {
+    SCOPED_TRACE(use_arena ? "arena" : "reference");
+    runtime::Executor executor(g, {.use_arena = use_arena});
+    Rng rng(503);
+    const Tensor x2 = Tensor::random_normal(Shape{2, 4, 8, 8}, rng);
+    const Tensor y2 = Tensor::random_normal(Shape{2, 4, 8, 8}, rng);
+    std::vector<Tensor> out2{Tensor::zeros(Shape{2, 4, 8, 8})};
+    executor.run_into({x2, y2}, out2);
+    for (std::int64_t i = 0; i < out2[0].numel(); ++i) ASSERT_EQ(out2[0][i], x2[i] + y2[i]);
+
+    const Tensor x5 = Tensor::zeros(Shape{5, 4, 8, 8});
+    expect_shape_error_naming([&] { executor.run({x5, x5}); }, "input batch 5");
+    expect_shape_error_naming([&] { executor.run({x2, Tensor::zeros(Shape{1, 4, 8, 8})}); },
+                              "[1, 4, 8, 8]");
+    std::vector<Tensor> out3{Tensor::zeros(Shape{3, 4, 8, 8})};
+    expect_shape_error_naming([&] { executor.run_into({x2, y2}, out3); }, "[3, 4, 8, 8]");
+  }
 }
 
 TEST(RunIntoTest, RejectsAliasedOutputsButAllowsInputAliasing) {

@@ -40,7 +40,7 @@ namespace metrics = serve::metrics;
 
 models::ModelConfig serve_config() {
   models::ModelConfig config;
-  config.batch = 1;  // serving templates are batch-1; variants are stamped
+  config.batch = 1;  // serving templates are batch-1; sessions restamp them
   config.image = 32;
   config.width = 0.125;
   config.classes = 10;
@@ -83,19 +83,20 @@ bool eventually(const std::function<bool()>& predicate, std::chrono::millisecond
 
 // ---- CompiledModel ---------------------------------------------------------
 
-TEST(CompiledModelTest, StampsOneVariantPerBatchWithSharedArtifacts) {
+TEST(CompiledModelTest, OnePlanHoldsEveryBatchUpToMaxBatch) {
   auto model = compile_zoo_model("resnet18", compile_options(4));
   EXPECT_EQ(model->max_batch(), 4u);
   EXPECT_GT(model->stats().fused_kernels, 0) << "pipeline did not run";
-  for (std::size_t k = 1; k <= 4; ++k) {
-    const ir::Graph& variant = model->graph(k);
-    for (const auto& node : variant.nodes()) {
-      if (node.kind == ir::OpKind::kInput) {
-        EXPECT_EQ(node.out_shape[0], static_cast<std::int64_t>(k));
-      }
+  for (const auto& node : model->graph(1).nodes()) {
+    if (node.kind == ir::OpKind::kInput) {
+      EXPECT_EQ(node.out_shape[0], 1);
     }
-    // The one plan, packed for batch 4, holds every narrower variant.
-    EXPECT_NO_THROW(runtime::validate_arena_plan(variant, model->plan())) << "batch " << k;
+  }
+  EXPECT_THROW(model->graph(2), Error) << "only the batch-1 graph is kept";
+  for (std::int64_t k = 1; k <= 4; ++k) {
+    // The one plan, packed at batch 4, holds the graph at every batch.
+    const ir::Graph restamped = ir::rebatched(model->graph(1), k);
+    EXPECT_NO_THROW(runtime::validate_arena_plan(restamped, model->plan())) << "batch " << k;
   }
   EXPECT_GT(model->packed_weight_bytes(), 0);
 }
@@ -149,7 +150,7 @@ TEST_P(ZooSessionTest, BatchSplitMergeMatchesSequentialBitForBit) {
   }
 
   // The same session must serve a different batch size (and the single-
-  // request sugar) off the same slab without cross-variant contamination.
+  // request sugar) off the same slab without cross-batch contamination.
   const auto solo = session.run(requests[0]);
   const auto want = single.run(requests[0]);
   for (std::size_t o = 0; o < want.outputs.size(); ++o) {

@@ -17,7 +17,7 @@
 //   --width F        channel width multiplier    (default 0.125)
 //   --classes N      classifier width            (default 10)
 //   --ratio F        decomposition rank ratio    (default 0.25; 0 = skip)
-//   --max-batch N    batch variants to stamp     (default 4)
+//   --max-batch N    largest batch a session runs (default 4)
 //   --no-optimize    skip the TeMCO pipeline (baseline artifact)
 //   --max-arena-bytes N   arena budget for the schedule search (0 = off);
 //                         compile fails with ResourceExhaustedError naming the
@@ -136,7 +136,7 @@ int cmd_info(int argc, char** argv) {
   std::printf("max batch:       %zu\n", model->max_batch());
   std::printf("graph nodes:     %zu\n", model->graph(1).size());
   // The memory geometry capacity planning needs: the one slab a session
-  // allocates, which every batch variant runs in.
+  // allocates, which every batch runs in.
   std::printf("slab bytes:      %lld (every batch 1..%zu)\n",
               static_cast<long long>(model->slab_bytes()), model->max_batch());
   if (budget > 0) {
